@@ -7,7 +7,7 @@ frontier (Section 3.1, Appendix A.2).  The paper trains a GNN+RL placement
 optimizer (PlaceTo); for the small DAGs of the evaluated workloads an
 enumeration/heavy-suffix search over placements simulated with the Appendix-M
 simulator finds the same frontier, which is the substitution documented in
-DESIGN.md.
+ARCHITECTURE.md.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def profile_placements(
     else:
         candidate_placements = graph.enumerate_placements(max_tasks_for_full_enumeration)
 
-    profiles: List[PlacementProfile] = []
-    for placement in candidate_placements:
-        execution = simulator.simulate(graph, placement)
+    # PlacementProfile's numeric fields, in field order, for every candidate;
+    # profiles are built only for the placements that are kept.
+    rows = []
+    for execution in simulator.simulate_each(graph, candidate_placements):
         # Ingestion processes segments back to back, so the sustainable time
         # per segment is bounded by the busiest resource rather than by the
         # cold-start makespan of a single segment.
@@ -108,28 +109,28 @@ def profile_placements(
             if execution.cloud_core_seconds > 0
             else 0.0,
         )
-        profiles.append(
-            PlacementProfile(
-                placement=dict(placement),
-                runtime_seconds=max(throughput_seconds, 1e-9),
-                makespan_seconds=execution.makespan_seconds,
-                on_prem_core_seconds=execution.on_prem_core_seconds,
-                cloud_core_seconds=execution.cloud_core_seconds,
-                cloud_dollars=execution.cloud_dollars,
-                upload_bytes=execution.upload_bytes,
-            )
-        )
+        rows.append((
+            max(throughput_seconds, 1e-9),
+            execution.makespan_seconds,
+            execution.on_prem_core_seconds,
+            execution.cloud_core_seconds,
+            execution.cloud_dollars,
+            execution.upload_bytes,
+        ))
 
-    if keep_pareto_only and len(profiles) > 1:
+    kept = range(len(rows))
+    if keep_pareto_only and len(rows) > 1:
         # Pareto criterion: minimize cloud dollars, minimize runtime.  The
         # pareto_front helper minimizes cost and maximizes value, so use the
         # negative runtime as the value.
         points = {
-            index: (profile.cloud_dollars, -profile.runtime_seconds)
-            for index, profile in enumerate(profiles)
+            index: (dollars, -runtime_seconds)
+            for index, (runtime_seconds, _, _, _, dollars, _) in enumerate(rows)
         }
-        keep = set(pareto_front(points))
-        profiles = [profile for index, profile in enumerate(profiles) if index in keep]
+        kept = sorted(pareto_front(points))
 
+    # The candidate dicts are fresh and private to this call, so the
+    # profiles can own them without a copy.
+    profiles = [PlacementProfile(candidate_placements[index], *rows[index]) for index in kept]
     profiles.sort(key=lambda profile: (profile.cloud_dollars, profile.runtime_seconds))
     return profiles

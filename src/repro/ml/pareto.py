@@ -8,6 +8,7 @@ higher value are better.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 
@@ -36,12 +37,22 @@ def pareto_front(points: Mapping[Hashable, Tuple[float, float]]) -> List[Hashabl
     Duplicate ``(cost, value)`` pairs are all kept; the result is sorted by
     increasing cost, breaking ties by decreasing value, so downstream code can
     treat it as the "cheap to expensive" ladder the knob switcher walks when
-    it has to fall back to cheaper configurations (Section 4.2).
+    it has to fall back to cheaper configurations (Section 4.2).  Keys with
+    equal points keep their input order.
+
+    One sort and one sweep over the cost groups, O(n log n): a point is
+    dominated exactly when a strictly cheaper point has at least its value,
+    or a point of equal cost has a higher value (:func:`is_dominated`).
     """
-    items = list(points.items())
-    all_points = [point for _, point in items]
-    frontier = [key for key, point in items if not is_dominated(point, all_points)]
-    frontier.sort(key=lambda key: (points[key][0], -points[key][1]))
+    ordered = sorted(points, key=lambda key: (points[key][0], -points[key][1]))
+    frontier: List[Hashable] = []
+    best_cheaper = None  # highest value among strictly cheaper points
+    for _, group in groupby(ordered, key=lambda key: points[key][0]):
+        group = list(group)
+        best = points[group[0]][1]
+        if best_cheaper is None or best > best_cheaper:
+            frontier.extend(key for key in group if points[key][1] == best)
+            best_cheaper = best
     return frontier
 
 

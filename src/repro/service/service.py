@@ -451,7 +451,10 @@ class FleetIngestionService:
             timeout_seconds: hard wall-clock bound on the drain.
         """
         pending = [job for job in self.store.list() if not job.terminal]
+        # Wall-clock ``started`` stamps job history; the drain itself is timed
+        # with the monotonic clock.
         started = time.time()
+        drain_started = time.perf_counter()
         if not pending:
             return self._report(wall_seconds=0.0, stats={}, crashed=[], lags=[])
         if self.scenario is None:
@@ -519,7 +522,7 @@ class FleetIngestionService:
                 if not any(not job.terminal for job in self.store.list()):
                     break
                 now = time.time()
-                if now - started > timeout_seconds:
+                if time.perf_counter() - drain_started > timeout_seconds:
                     raise ServiceError(
                         f"service did not drain within {timeout_seconds:.0f}s "
                         f"({self.store.counts()})"
@@ -546,7 +549,7 @@ class FleetIngestionService:
 
         crashed = [shard for shard, s in stats.items() if s.crashed]
         return self._report(
-            wall_seconds=time.time() - started,
+            wall_seconds=time.perf_counter() - drain_started,
             stats=stats,
             crashed=crashed,
             lags=lags,

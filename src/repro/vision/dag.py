@@ -9,11 +9,14 @@ every task to the on-premise cluster or to the cloud.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Set
 
 from repro.errors import ConfigurationError, PlacementError
 from repro.vision.udf import OperatorCost
+
+_LOCATIONS = frozenset(("on_prem", "cloud"))
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,20 @@ class TaskGraph:
 
     def topological_order(self) -> List[str]:
         """Task names in a valid execution order; raises on cycles."""
-        in_degree = {name: len(parents) for name, parents in self._parents.items()}
-        ready = [name for name, degree in in_degree.items() if degree == 0]
+        names = list(self._tasks)
+        position = {name: index for index, name in enumerate(names)}
+        in_degree = [len(self._parents[name]) for name in names]
+        # Stable ordering: among ready tasks, the earliest inserted goes first.
+        ready = [index for index, degree in enumerate(in_degree) if degree == 0]
         order: List[str] = []
         while ready:
-            # Stable ordering: insertion order among ready tasks.
-            ready.sort(key=lambda name: list(self._tasks).index(name))
-            current = ready.pop(0)
+            current = names[heapq.heappop(ready)]
             order.append(current)
             for child in self._children[current]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    ready.append(child)
+                index = position[child]
+                in_degree[index] -= 1
+                if in_degree[index] == 0:
+                    heapq.heappush(ready, index)
         if len(order) != len(self._tasks):
             raise ConfigurationError("task graph contains a cycle")
         return order
@@ -166,6 +171,9 @@ class TaskGraph:
 
     def validate_placement(self, placement: Mapping[str, str]) -> None:
         """Check that a placement covers every task with a valid location."""
+        if self._tasks.keys() == placement.keys() and _LOCATIONS.issuperset(placement.values()):
+            return
+        # Invalid: name the offending tasks.
         missing = [name for name in self._tasks if name not in placement]
         if missing:
             raise PlacementError(f"placement misses tasks: {missing}")

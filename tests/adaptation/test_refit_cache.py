@@ -40,13 +40,8 @@ def test_refit_reruns_only_labeling_and_forecaster(regime_bundle, refitter):
         assert not report.stage_cache_hits[stage], f"{stage} must re-run"
     assert not report.stage_cache_hits["profile_placements"]
     assert report.cache_hit_count == len(REUSED_STAGES) == 3
-    # Runtimes recorded for every stage; the cached stages are restores, so
-    # together they are far cheaper than the placement re-derivation alone.
+    # Runtimes are recorded for every stage.
     assert set(report.stage_runtimes_seconds) == set(report.stage_cache_hits)
-    reused_seconds = sum(
-        report.stage_runtimes_seconds[stage] for stage in REUSED_STAGES
-    )
-    assert reused_seconds < report.stage_runtimes_seconds["profile_placements"]
     # Unchanged profiles really means unchanged: same clustering, bitwise.
     assert np.array_equal(
         result.categorizer.centers, regime_bundle.skyscraper.categorizer.centers

@@ -137,6 +137,26 @@ def test_pareto_front_points_indices():
     assert indices == [1]
 
 
+def _pairwise_pareto_front(points):
+    """The quadratic definition: keep every point no other point dominates."""
+    all_points = list(points.values())
+    frontier = [key for key, point in points.items() if not is_dominated(point, all_points)]
+    frontier.sort(key=lambda key: (points[key][0], -points[key][1]))
+    return frontier
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=500), count=st.integers(min_value=1, max_value=40))
+def test_pareto_front_matches_pairwise_definition(seed, count):
+    rng = np.random.default_rng(seed)
+    # Few distinct coordinates: equal costs, equal values and duplicates occur.
+    points = {
+        index: (float(rng.integers(0, 5)), float(rng.integers(0, 4)) / 4)
+        for index in range(count)
+    }
+    assert pareto_front(points) == _pairwise_pareto_front(points)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=200), count=st.integers(min_value=1, max_value=25))
 def test_pareto_property_every_dropped_point_is_dominated(seed, count):
