@@ -61,6 +61,8 @@ class ForecastDataset:
             stride_seconds: spacing between consecutive training samples; the
                 paper creates one sample every 15 minutes (Appendix K.1).
         """
+        if n_categories < 1:
+            raise ConfigurationError("n_categories must be at least 1")
         if n_splits < 1:
             raise ConfigurationError("n_splits must be at least 1")
         if label_period_seconds <= 0:
@@ -70,6 +72,8 @@ class ForecastDataset:
         label_array = np.asarray(labels, dtype=int)
         if label_array.ndim != 1:
             raise ConfigurationError("labels must be a 1-D sequence")
+        if label_array.size and int(label_array.min()) < 0:
+            raise ConfigurationError("labels must be non-negative category indices")
 
         labels_per_input = int(round(input_seconds / label_period_seconds))
         labels_per_output = int(round(output_seconds / label_period_seconds))
@@ -84,23 +88,34 @@ class ForecastDataset:
             stride_seconds = 15 * 60.0
         stride_labels = max(int(round(stride_seconds / label_period_seconds)), 1)
 
-        inputs: List[np.ndarray] = []
-        targets: List[np.ndarray] = []
-        position = labels_per_input
-        while position + labels_per_output <= label_array.size:
-            window = label_array[position - labels_per_input : position]
-            split_histograms = [
-                _histogram(window[start : start + labels_per_split], n_categories)
-                for start in range(0, labels_per_input, labels_per_split)
-            ]
-            target_window = label_array[position : position + labels_per_output]
-            inputs.append(np.concatenate(split_histograms))
-            targets.append(_histogram(target_window, n_categories))
-            position += stride_labels
+        # Sample k reads its input splits from labels
+        # [k * stride_labels, k * stride_labels + labels_per_input) and its
+        # target from the ``labels_per_output`` labels that follow.
+        n_samples = (
+            label_array.size - labels_per_input - labels_per_output
+        ) // stride_labels + 1
+        window_starts = np.arange(n_samples) * stride_labels
+        # prefix[i, c]: how many of the first i labels are category c, so a
+        # window's counts are one exact integer difference.  Labels at or
+        # above n_categories match no column and are ignored.
+        prefix = np.zeros((label_array.size + 1, n_categories), dtype=np.int64)
+        np.cumsum(
+            label_array[:, np.newaxis] == np.arange(n_categories), axis=0, out=prefix[1:]
+        )
+        inputs = np.empty((n_samples, n_splits * n_categories))
+        targets = np.empty((n_samples, n_categories))
+        for split in range(n_splits):
+            first = window_starts + split * labels_per_split
+            _histograms_into(
+                inputs[:, split * n_categories : (split + 1) * n_categories],
+                prefix[first + labels_per_split] - prefix[first],
+            )
+        first = window_starts + labels_per_input
+        _histograms_into(targets, prefix[first + labels_per_output] - prefix[first])
 
         return ForecastDataset(
-            inputs=np.array(inputs),
-            targets=np.array(targets),
+            inputs=inputs,
+            targets=targets,
             n_categories=n_categories,
             n_splits=n_splits,
         )
@@ -120,12 +135,16 @@ class ForecastDataset:
         return first, second
 
 
-def _histogram(labels: np.ndarray, n_categories: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=n_categories)[:n_categories].astype(float)
-    total = counts.sum()
-    if total <= 0:
-        return np.full(n_categories, 1.0 / n_categories)
-    return counts / total
+def _histograms_into(out: np.ndarray, counts: np.ndarray) -> None:
+    """Write each row of category ``counts`` into ``out`` as a histogram.
+
+    A row is its counts over their total, or uniform when the window holds no
+    in-range label.  Counts are exact integers, so this is bit for bit the
+    per-window ``bincount(...) / total`` it replaces.
+    """
+    totals = counts.sum(axis=1, keepdims=True)
+    np.divide(counts, totals, out=out, where=totals > 0)
+    out[totals[:, 0] == 0] = 1.0 / out.shape[1]
 
 
 class ContentForecaster:

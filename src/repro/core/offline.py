@@ -848,7 +848,7 @@ class OfflinePipeline:
         # and deduplicating silently shrank the pool).
         size = min(params.n_presample_segments, total)
         candidate_indices = np.sort(rng.choice(total, size=size, replace=False))
-        candidates = [self.source.segment_at(int(index)) for index in candidate_indices]
+        candidates = _gather_segments(self.source, candidate_indices)
         cheapest, best = find_extreme_configurations(
             self.workload, labeled_segments[:5], evaluator=self.evaluations
         )
@@ -886,9 +886,9 @@ class OfflinePipeline:
     ) -> None:
         context["cheapest"] = KnobConfiguration.from_dict(document["cheapest"])
         context["best"] = KnobConfiguration.from_dict(document["best"])
-        context["search_segments"] = [
-            self.source.segment_at(int(index)) for index in document["search_indices"]
-        ]
+        context["search_segments"] = _gather_segments(
+            self.source, document["search_indices"]
+        )
 
     # ------------------------------------------------------------------ #
     # Stage: filter_configurations
@@ -953,7 +953,7 @@ class OfflinePipeline:
         sample_indices = rng.integers(
             0, self.total_history_segments, size=params.n_category_samples
         )
-        segments = [self.source.segment_at(int(index)) for index in sample_indices]
+        segments = _gather_segments(self.source, sample_indices)
         profiles: ProfileSet = context["profiles"]
         pairs = [
             (profile.configuration, segment)
@@ -1140,8 +1140,42 @@ class OfflinePipeline:
 
 
 # --------------------------------------------------------------------- #
-# History labeling (shared with Skyscraper._label_history)
+# History reads and labeling (shared with Skyscraper._label_history)
 # --------------------------------------------------------------------- #
+def _gather_segments(source: SyntheticVideoSource, indices) -> List[VideoSegment]:
+    """``source.segment_at`` for every index, from one columnar content pass.
+
+    Row ``i`` equals ``segment_at(indices[i])`` bit for bit, for unsorted and
+    repeated indices too (``ContentModel.states_at`` is row-independent).
+    """
+    columns = source.segment_index_columns(indices)
+    return [columns.segment(position) for position in range(len(columns))]
+
+
+def label_segments(
+    source: SyntheticVideoSource,
+    start_time: float,
+    end_time: float,
+    period_seconds: float,
+) -> List[VideoSegment]:
+    """The segments read every ``period_seconds`` over ``[start_time, end_time)``.
+
+    Label ``k`` reads the segment containing ``start_time + k * period_seconds``.
+    The grid is computed, not accumulated, so it does not drift, and the
+    window is half-open like ``ContentModel.states``: a time that rounds to
+    ``end_time`` is not read.  An empty window (``end_time <= start_time``)
+    reads nothing.
+    """
+    if period_seconds <= 0:
+        raise ConfigurationError("period_seconds must be positive")
+    # One slot past the rounded count, so a grid point that the division
+    # rounds away is still considered; the mask keeps the half-open window.
+    count = max(int(np.ceil((end_time - start_time) / period_seconds)) + 1, 0)
+    stamps = start_time + np.arange(count) * period_seconds
+    stamps = stamps[stamps < end_time]
+    return _gather_segments(source, (stamps / source.segment_seconds).astype(np.int64))
+
+
 def label_quality_series(
     workload: VETLWorkload,
     source: SyntheticVideoSource,
@@ -1151,23 +1185,18 @@ def label_quality_series(
     period_seconds: float,
     evaluator: Optional[EvaluationCache] = None,
 ) -> np.ndarray:
-    """Reported quality of ``configuration`` sampled every ``period_seconds``.
+    """Reported quality of ``configuration`` on each of :func:`label_segments`.
 
     This is the expensive half of Appendix H's history labeling (83% of the
-    paper's 1.6 h offline phase): one evaluation per period over the whole
-    window, batched through ``evaluate_many`` / the shared cache.  An empty
-    window (``end_time <= start_time``) yields an empty series.
+    paper's 1.6 h offline phase): one evaluation per label over the whole
+    window.  The segments come from one columnar content pass and the
+    evaluations run as one batch through ``evaluate_many`` / the shared
+    cache.  An empty window (``end_time <= start_time``) yields an empty
+    series.
     """
-    if period_seconds <= 0:
-        raise ConfigurationError("period_seconds must be positive")
-    timestamps: List[float] = []
-    timestamp = start_time
-    while timestamp < end_time:
-        timestamps.append(timestamp)
-        timestamp += period_seconds
     pairs = [
-        (configuration, source.segment_at(int(stamp / source.segment_seconds)))
-        for stamp in timestamps
+        (configuration, segment)
+        for segment in label_segments(source, start_time, end_time, period_seconds)
     ]
     outcomes = (
         evaluator.evaluate_many(pairs)

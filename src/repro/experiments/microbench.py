@@ -23,6 +23,7 @@ from repro.core.planner import KnobPlanner
 from repro.core.profiles import ConfigurationProfile, ProfileSet
 from repro.core.switcher import KnobSwitcher
 from repro.core.knobs import KnobConfiguration
+from repro.core.offline import label_segments
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, SystemBundle
 from repro.vision.dag import Task, TaskGraph
@@ -219,15 +220,14 @@ def category_label_series(
     profiles = skyscraper.profiles
     categorizer = skyscraper.categorizer
     labels: List[int] = []
-    timestamp = start_day * SECONDS_PER_DAY
-    while timestamp < end_day * SECONDS_PER_DAY:
-        segment = source.segment_at(int(timestamp / source.segment_seconds))
+    for segment in label_segments(
+        source, start_day * SECONDS_PER_DAY, end_day * SECONDS_PER_DAY, period_seconds
+    ):
         vector = [
             workload.evaluate(profile.configuration, segment).reported_quality
             for profile in profiles
         ]
         labels.append(categorizer.classify(vector))
-        timestamp += period_seconds
     return labels
 
 

@@ -136,6 +136,92 @@ def test_forecast_dataset_validation():
         dataset.split(1.5)
 
 
+def test_forecast_dataset_rejects_negative_labels_and_no_categories():
+    labels = [0, 1, 2] * 10
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        ForecastDataset.from_labels(labels + [-1], 3, 60.0, 60.0 * 4, 60.0 * 2, 2)
+    # Even outside every window: a negative label is a caller bug.
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        ForecastDataset.from_labels(
+            labels + [-1], 3, 60.0, 60.0 * 4, 60.0 * 2, 2, stride_seconds=60.0 * 100
+        )
+    with pytest.raises(ConfigurationError, match="n_categories"):
+        ForecastDataset.from_labels(labels, 0, 60.0, 60.0 * 4, 60.0 * 2, 2)
+
+
+def _window_histogram(window, n_categories):
+    """One window's histogram by definition: in-range counts over their total."""
+    counts = np.bincount(window, minlength=n_categories)[:n_categories].astype(float)
+    total = counts.sum()
+    if total <= 0:
+        return np.full(n_categories, 1.0 / n_categories)
+    return counts / total
+
+
+def _windowed_dataset(labels, n_categories, period, input_s, output_s, n_splits, stride_s):
+    """The per-window loop ``from_labels`` must reproduce bit for bit."""
+    label_array = np.asarray(labels, dtype=int)
+    per_input = int(round(input_s / period))
+    per_output = int(round(output_s / period))
+    per_split = max(per_input // n_splits, 1)
+    per_input = per_split * n_splits
+    stride = max(int(round(stride_s / period)), 1)
+    inputs, targets = [], []
+    position = per_input
+    while position + per_output <= label_array.size:
+        window = label_array[position - per_input : position]
+        inputs.append(
+            np.concatenate(
+                [
+                    _window_histogram(window[start : start + per_split], n_categories)
+                    for start in range(0, per_input, per_split)
+                ]
+            )
+        )
+        targets.append(
+            _window_histogram(label_array[position : position + per_output], n_categories)
+        )
+        position += stride
+    return np.array(inputs), np.array(targets)
+
+
+def _forecast_cases():
+    """(labels, n_categories, input labels, output labels, n_splits, stride labels)."""
+    yield [5, 5, 0, 1, 5, 2, 2, 5], 3, 4, 2, 2, 1  # labels >= n_categories
+    yield [0, 1, 2, 3, 4, 0, 1], 5, 5, 2, 1, 3  # smallest series with a sample
+    yield list(range(4)) * 30, 4, 7, 3, 3, 5  # 3 splits do not divide 7
+    yield [1, 0, 2] * 20, 3, 6, 4, 2, 50  # stride longer than the window
+    yield [0] * 12, 1, 4, 0, 2, 1  # output rounds to 0 labels: uniform targets
+    rng = np.random.default_rng(20_241_016)
+    for _ in range(100):
+        n_categories = int(rng.integers(1, 7))
+        per_input = int(rng.integers(1, 40))
+        per_output = int(rng.integers(0, 25))
+        n_splits = int(rng.integers(1, 9))
+        stride = int(rng.integers(1, 80))
+        needed = max(per_input // n_splits, 1) * n_splits + per_output
+        size = needed + int(rng.integers(0, 300))
+        labels = rng.integers(0, n_categories + 3, size=size).tolist()
+        yield labels, n_categories, per_input, per_output, n_splits, stride
+
+
+def test_forecast_dataset_matches_per_window_histograms_bitwise():
+    period = 60.0
+    for index, case in enumerate(_forecast_cases()):
+        labels, n_categories, per_input, per_output, n_splits, stride = case
+        # Zero output labels still needs positive output seconds (rounds to 0).
+        output_s = per_output * period if per_output else 10.0
+        args = (n_categories, period, per_input * period, output_s, n_splits)
+        dataset = ForecastDataset.from_labels(
+            labels, *args, stride_seconds=stride * period
+        )
+        inputs, targets = _windowed_dataset(labels, *args, stride * period)
+        assert dataset.inputs.shape == inputs.shape, index
+        assert dataset.targets.shape == targets.shape, index
+        assert dataset.inputs.tobytes() == inputs.tobytes(), index
+        assert dataset.targets.tobytes() == targets.tobytes(), index
+
+
 # --------------------------------------------------------------------- #
 # Forecaster
 # --------------------------------------------------------------------- #

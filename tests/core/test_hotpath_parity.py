@@ -98,6 +98,23 @@ def test_segment_columns_match_segment_at_bitwise(small_source):
         )
 
 
+def test_segment_index_gather_matches_segment_at_bitwise(small_source):
+    """A gather of unsorted, repeated indices across day boundaries.
+
+    The offline stages read the history this way; ``content_categories``
+    draws its indices with replacement.  ``repr`` pins every float exactly.
+    """
+    per_day = int(SECONDS_PER_DAY / small_source.segment_seconds)
+    drawn = np.random.default_rng(7).integers(0, 4 * per_day, size=400)
+    edges = [2 * per_day, per_day - 1, 0, 3 * per_day, per_day, 2 * per_day - 1]
+    indices = np.concatenate([drawn, edges, drawn[:60], drawn[::-7], edges])
+    assert np.unique(indices // per_day).size == 4
+    columns = small_source.segment_index_columns(indices)
+    assert len(columns) == indices.size
+    for position, index in enumerate(indices.tolist()):
+        assert repr(columns.segment(position)) == repr(small_source.segment_at(index))
+
+
 def test_segment_stream_matches_scalar_reference(small_source):
     vectorized = small_source.record(ONLINE_START, ONLINE_START + 600.0)
     reference = list(scalar_segments(small_source, ONLINE_START, ONLINE_START + 600.0))

@@ -35,6 +35,7 @@ from repro.core.offline import (
     ProcessExecutor,
     SerialExecutor,
     label_quality_series,
+    label_segments,
     resolve_executor,
 )
 from repro.core.profiles import build_profiles
@@ -555,6 +556,13 @@ def test_label_history_boundary_timestamps(fitted_skyscraper, covid_source):
     assert three[:2] == two
     categories = fitted_skyscraper.categorizer.actual_categories
     assert all(0 <= label < categories for label in three)
+    # Label k sits at 0.3 * k, and 0.3 * 10 rounds to the excluded end 3.0.
+    # A running sum of the period reaches 2.9999999999999996 there instead.
+    assert len(fitted_skyscraper._label_history(covid_source, 0.0, 3.0, 0.3)) == 10
+    segments = label_segments(covid_source, 0.0, 3.0, 0.3)
+    assert [segment.segment_index for segment in segments] == [
+        int(0.3 * k / covid_source.segment_seconds) for k in range(10)
+    ]
 
 
 def test_label_history_requires_fit(covid_workload, covid_source):
