@@ -1,29 +1,23 @@
-"""Online-adaptation benchmark: drift monitor + staged re-fit under drift.
+"""Online-adaptation trajectory: record the ``online_adaptation`` figure's run.
 
-A thin shim over the registered figure spec ``online_adaptation`` (see
-``src/repro/figures/catalog.py``): a regime-switching EV workload where the
-statically fitted policy degrades after the shift while the adaptive policy
-detects the drift (CUSUM over the online-observable signals), runs a staged
-incremental re-fit through the content-addressed stage cache, and re-plans.
+The registered figure spec ``online_adaptation`` (see
+``src/repro/figures/catalog.py``) runs a regime-switching EV workload where
+the statically fitted policy degrades after the shift while the adaptive
+policy detects the drift (CUSUM over the online-observable signals), runs a
+staged incremental re-fit through the content-addressed stage cache, and
+re-plans.  This script does not run the spec: it reads the JSON artifact the
+figures CLI wrote and exits 1 unless its status is ``ok``.
 
 ``--append-trajectory`` records the run as one point in the cross-PR
 trajectory file ``benchmarks/BENCH_adaptation.json``: per-system quality,
 the drift/re-fit counters, and the regime geometry, so later PRs can see
 whether the adaptive margin and the staged-re-fit cache reuse held up.
 
-Run standalone::
-
-    PYTHONPATH=src:. python -m benchmarks.bench_adaptation [--smoke]
-    PYTHONPATH=src:. python -m benchmarks.bench_adaptation \
-        --append-trajectory --label pr9 --date 2026-08-08
-
-through pytest-benchmark::
-
-    PYTHONPATH=src:. python -m pytest benchmarks/bench_adaptation.py -q -s
-
-or as part of the one-command reproduction suite::
+Run the figure, then record it::
 
     PYTHONPATH=src python -m repro.figures run --only online_adaptation
+    PYTHONPATH=src:. python -m benchmarks.bench_adaptation \
+        --append-trajectory --label pr9 --date 2026-08-08
 """
 
 from __future__ import annotations
@@ -33,12 +27,13 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
-from benchmarks.common import benchmark_shim, emit_artifact, run_figure
+from benchmarks.common import append_trajectory
 
 #: Cross-PR trajectory: one point appended per measured milestone.
 TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_adaptation.json"
 
-test_online_adaptation, _spec_main = benchmark_shim("online_adaptation")
+#: Where ``python -m repro.figures run --only online_adaptation`` writes.
+DEFAULT_ARTIFACT = "artifacts/figures/online_adaptation.json"
 
 
 def trajectory_point(payload: Dict[str, Any], label: str, date: str) -> Dict[str, Any]:
@@ -58,21 +53,12 @@ def trajectory_point(payload: Dict[str, Any], label: str, date: str) -> Dict[str
     }
 
 
-def append_trajectory(payload: Dict[str, Any], label: str, date: str) -> None:
-    """Append one measured point to the cross-PR trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = {"benchmark": "online_adaptation", "points": []}
-    trajectory["points"].append(trajectory_point(payload, label, date))
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"appended point {label!r} to {TRAJECTORY_PATH}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--smoke", action="store_true", help="CI-sized windows and drift warmups"
+        "--artifact",
+        default=DEFAULT_ARTIFACT,
+        help=f"figure artifact to read (default: {DEFAULT_ARTIFACT})",
     )
     parser.add_argument(
         "--append-trajectory",
@@ -82,12 +68,19 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--label", default="local", help="trajectory point label")
     parser.add_argument("--date", default="", help="trajectory point date")
     args = parser.parse_args(argv)
-    artifact = run_figure("online_adaptation", smoke=args.smoke)
-    emit_artifact(artifact)
-    if artifact.status != "ok":
+    path = Path(args.artifact)
+    if not path.exists():
+        raise SystemExit(
+            f"{path} not found; run "
+            "`python -m repro.figures run --only online_adaptation` first"
+        )
+    document = json.loads(path.read_text())
+    print(f"{path}: {document['status']} ({document['mode']} mode)")
+    if document["status"] != "ok":
         raise SystemExit(1)
     if args.append_trajectory:
-        append_trajectory(artifact.payload, label=args.label, date=args.date)
+        point = trajectory_point(document["payload"], label=args.label, date=args.date)
+        append_trajectory(TRAJECTORY_PATH, "online_adaptation", point)
 
 
 if __name__ == "__main__":

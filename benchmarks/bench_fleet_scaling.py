@@ -1,48 +1,29 @@
-"""Fleet scaling benchmarks: scheduler sweeps and the sharded service.
+"""Ingestion-service scaling at an arbitrary fleet size.
 
-Two entry points share this file:
-
-* the default path is a thin shim over the registered figure specs
-  ``fleet_scaling`` (streams x schedulers on one engine) and
-  ``fleet_service_scaling`` (one fleet across service shard counts) — the
-  workloads, sweep axes, payload schema and shape checks live in
-  ``src/repro/figures/catalog.py``;
-* ``--streams N --shards a,b,c`` runs the ingestion-service scaling
-  harness directly at an arbitrary scale — this is how the acceptance
-  run (``--streams 1024 --shards 1,4,8``) is produced, far above figure
-  scale — and ``--append-trajectory`` records the result as one point in
-  the cross-PR trajectory file ``benchmarks/BENCH_fleet_scaling.json``.
+``--streams N --shards a,b,c`` runs one fleet through the sharded
+ingestion service at each shard count, far above figure scale — this is how
+the acceptance run (``--streams 1024 --shards 1,4,8``) is produced — and
+``--append-trajectory`` records the result as one point in the cross-PR
+trajectory file ``benchmarks/BENCH_fleet_scaling.json``.
 
 Run standalone::
 
-    PYTHONPATH=src:. python -m benchmarks.bench_fleet_scaling [--smoke]
     PYTHONPATH=src:. python -m benchmarks.bench_fleet_scaling \
         --streams 1024 --shards 1,4,8 [--append-trajectory --label pr6]
 
-through pytest-benchmark::
+The figure-scale sweeps are the registered specs ``fleet_scaling`` and
+``fleet_service_scaling``::
 
-    PYTHONPATH=src:. python -m pytest benchmarks/bench_fleet_scaling.py -q -s
-
-or as part of the one-command reproduction suite::
-
-    PYTHONPATH=src python -m repro.figures run --only fleet_scaling
-    PYTHONPATH=src python -m repro.figures run --only fleet_service_scaling
+    PYTHONPATH=src python -m repro.figures run --only fleet_scaling fleet_service_scaling
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from benchmarks.common import (
-    benchmark_shim,
-    emit_artifact,
-    emit_bench,
-    print_header,
-    run_figure,
-)
+from benchmarks.common import append_trajectory, emit_bench, print_header
 
 from repro.experiments.results import ExperimentTable
 from repro.figures.context import BundleProvider
@@ -50,11 +31,6 @@ from repro.service.bench import run_service_scaling
 
 #: Cross-PR scaling trajectory: one point appended per measured milestone.
 TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_fleet_scaling.json"
-
-test_fleet_scaling, _spec_main = benchmark_shim("fleet_scaling")
-test_fleet_service_scaling, _service_spec_main = benchmark_shim(
-    "fleet_service_scaling"
-)
 
 
 def run_service_bench(
@@ -101,30 +77,11 @@ def run_service_bench(
     return rows
 
 
-def append_trajectory(
-    rows: List[Dict[str, Any]], label: str, date: str
-) -> None:
-    """Append one measured point to the cross-PR trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = {"benchmark": "fleet_service_scaling", "points": []}
-    trajectory["points"].append(
-        {"label": label, "date": date, "streams": rows[0]["streams"], "rows": rows}
-    )
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"appended point {label!r} to {TRAJECTORY_PATH}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Dispatch between the figure shims and the direct service run."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument(
-        "--streams",
-        type=int,
-        default=None,
-        help="direct service run at this fleet size (skips the figure specs)",
+        "--streams", type=int, required=True, help="fleet size of the service run"
     )
     parser.add_argument("--shards", default="1,4,8", help="comma list of counts")
     parser.add_argument("--online-days", type=float, default=0.01)
@@ -136,19 +93,18 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--label", default="local", help="trajectory point label")
     parser.add_argument("--date", default="", help="trajectory point date")
     args = parser.parse_args(argv)
-    if args.streams is None:
-        for figure_id in ("fleet_scaling", "fleet_service_scaling"):
-            artifact = run_figure(figure_id, smoke=args.smoke)
-            emit_artifact(artifact)
-            if artifact.status != "ok":
-                raise SystemExit(1)
-        return
     shard_counts = [int(part) for part in args.shards.split(",")]
     rows = run_service_bench(
         args.streams, shard_counts, smoke=args.smoke, online_days=args.online_days
     )
     if args.append_trajectory:
-        append_trajectory(rows, label=args.label, date=args.date)
+        point = {
+            "label": args.label,
+            "date": args.date,
+            "streams": rows[0]["streams"],
+            "rows": rows,
+        }
+        append_trajectory(TRAJECTORY_PATH, "fleet_service_scaling", point)
 
 
 if __name__ == "__main__":

@@ -29,14 +29,13 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from benchmarks.common import emit_bench, print_header
+from benchmarks.common import append_trajectory, emit_bench, print_header
 
 from repro.core.fleet import FleetEngine, FleetStream
 from repro.core.reference import (
@@ -304,19 +303,6 @@ def run_hotpath_bench(smoke: bool = False) -> Dict[str, Any]:
     }
 
 
-def append_trajectory(payload: Dict[str, Any], label: str, date: str) -> None:
-    """Append one measured point to the cross-PR trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = {"benchmark": "hotpath", "points": []}
-    trajectory["points"].append(
-        {"label": label, "date": date, "kernels": payload["kernels"]}
-    )
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"appended point {label!r} to {TRAJECTORY_PATH}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -335,7 +321,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     if payload["status"] != "ok":
         raise SystemExit(1)
     if args.append_trajectory:
-        append_trajectory(payload, label=args.label, date=args.date)
+        point = {"label": args.label, "date": args.date, "kernels": payload["kernels"]}
+        append_trajectory(TRAJECTORY_PATH, "hotpath", point)
 
 
 if __name__ == "__main__":

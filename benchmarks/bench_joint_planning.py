@@ -1,29 +1,20 @@
-"""Joint fleet-planning benchmarks: the solver ladder across tenant counts.
+"""Joint fleet-planning ladder at an arbitrary tenant count.
 
-Two entry points share this file:
-
-* the default path is a thin shim over the registered figure spec
-  ``fleet_joint_planning`` (the admission-controlled greedy -> knapsack ->
-  LP ladder over heterogeneous tenants) — the tenant roster, sweep axes,
-  payload schema and shape checks live in ``src/repro/figures/catalog.py``;
-* ``--tenants N`` runs the planning ladder directly at an arbitrary tenant
-  count: it times every rung, verifies the ladder stays monotone, and
-  measures the *budget saving* — the largest budget cut (in 5% steps) at
-  which the joint LP still matches the per-stream split at the full
-  budget.  ``--append-trajectory`` records the result as one point in the
-  cross-PR trajectory file ``benchmarks/BENCH_joint_planning.json``.
+``--tenants N`` runs the planning ladder (per-stream split -> greedy ->
+knapsack -> LP) directly at an arbitrary tenant count: it times every rung,
+verifies the ladder stays monotone, and measures the *budget saving* — the
+largest budget cut (in 5% steps) at which the joint LP still matches the
+per-stream split at the full budget.  ``--append-trajectory`` records the
+result as one point in the cross-PR trajectory file
+``benchmarks/BENCH_joint_planning.json``.
 
 Run standalone::
 
-    PYTHONPATH=src:. python -m benchmarks.bench_joint_planning [--smoke]
     PYTHONPATH=src:. python -m benchmarks.bench_joint_planning \
         --tenants 12 [--append-trajectory --label pr7]
 
-through pytest-benchmark::
-
-    PYTHONPATH=src:. python -m pytest benchmarks/bench_joint_planning.py -q -s
-
-or as part of the one-command reproduction suite::
+The figure-scale ladder, with admission control over a heterogeneous
+roster, is the registered spec ``fleet_joint_planning``::
 
     PYTHONPATH=src python -m repro.figures run --only fleet_joint_planning
 """
@@ -31,13 +22,13 @@ or as part of the one-command reproduction suite::
 from __future__ import annotations
 
 import argparse
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from benchmarks.common import benchmark_shim, print_header, emit_artifact, run_figure
+from benchmarks.common import append_trajectory, emit_bench, print_header
 
+from repro.errors import PlanningError
 from repro.experiments.results import ExperimentTable
 from repro.figures.context import BundleProvider
 from repro.planning import (
@@ -53,8 +44,6 @@ TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_joint_planning.json"
 
 #: Budget cuts probed for the saving measurement, in ascending severity.
 SAVING_STEPS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-
-test_fleet_joint_planning, _spec_main = benchmark_shim("fleet_joint_planning")
 
 
 def make_roster(n_tenants: int) -> List[TenantSpec]:
@@ -139,7 +128,7 @@ def run_planning_bench(
     for cut in SAVING_STEPS:
         try:
             reduced = plan_fleet(build((1.0 - cut) * budget), "lp")
-        except Exception:
+        except PlanningError:
             break
         if reduced.objective + 1e-6 < objectives["per_stream"]:
             break
@@ -175,26 +164,11 @@ def print_planning_bench(result: Dict[str, Any]) -> None:
     print(table.render())
 
 
-def append_trajectory(result: Dict[str, Any], label: str, date: str) -> None:
-    """Append one measured point to the cross-PR trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        trajectory = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        trajectory = {"benchmark": "fleet_joint_planning", "points": []}
-    trajectory["points"].append({"label": label, "date": date, **result})
-    TRAJECTORY_PATH.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"appended point {label!r} to {TRAJECTORY_PATH}")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Dispatch between the figure shim and the direct ladder run."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        help="direct ladder run at this tenant count (skips the figure spec)",
+        "--tenants", type=int, required=True, help="tenant count of the ladder run"
     )
     parser.add_argument(
         "--budget",
@@ -216,31 +190,22 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--label", default="local", help="trajectory point label")
     parser.add_argument("--date", default="", help="trajectory point date")
     args = parser.parse_args(argv)
-    if args.tenants is None:
-        artifact = run_figure("fleet_joint_planning", smoke=args.smoke)
-        emit_artifact(artifact)
-        if artifact.status != "ok":
-            raise SystemExit(1)
-        return
     result = run_planning_bench(
         args.tenants, budget=args.budget, cores=args.cores, smoke=args.smoke
     )
     print_planning_bench(result)
     ok = result["ladder_monotone"] and result["budget_saving_pct"] >= 10.0
-    print(
-        "BENCH "
-        + json.dumps(
-            {
-                "benchmark": "fleet_joint_planning_direct",
-                "mode": "smoke" if args.smoke else "full",
-                "status": "ok" if ok else "error",
-                **result,
-            },
-            sort_keys=True,
-        )
+    emit_bench(
+        {
+            "benchmark": "fleet_joint_planning_direct",
+            "mode": "smoke" if args.smoke else "full",
+            "status": "ok" if ok else "error",
+            **result,
+        }
     )
     if args.append_trajectory:
-        append_trajectory(result, label=args.label, date=args.date)
+        point = {"label": args.label, "date": args.date, **result}
+        append_trajectory(TRAJECTORY_PATH, "fleet_joint_planning", point)
     if not ok:
         raise SystemExit(1)
 

@@ -1,42 +1,19 @@
-"""Shared shim machinery for the benchmark scripts.
+"""Shared helpers for the benchmark scripts.
 
-Every ``bench_*`` script under this directory is a thin shim over one
-registered figure spec (see ``src/repro/figures/catalog.py``): the spec owns
-the workloads, sweep axes and shape checks; the shim merely runs it through
-the shared :class:`~repro.figures.suite.FigureSuite`, prints the
-human-readable tables and emits the machine-readable ``BENCH {...}`` json
-line.  One suite instance is shared per process, so a pytest session over
-many benchmark files fits each workload bundle exactly once — the same
-offline-phase sharing the one-command entry point uses::
-
-    PYTHONPATH=src python -m repro.figures run --all [--smoke] [--workers N]
+The paper's figures and tables are registered specs run by one entry point,
+``python -m repro.figures run --only ID`` (see
+``src/repro/figures/catalog.py``); nothing here runs a figure.  The scripts
+under this directory run outside the figure specs and share three
+conventions through this module: the banner above their tables, the
+machine-readable ``BENCH {...}`` json line CI greps out of their output, and
+the cross-PR trajectory files ``benchmarks/BENCH_*.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.experiments.results import ExperimentTable
-from repro.figures import FigureArtifact, FigureSuite, figure_spec
-
-#: Process-wide suites (one per mode) so benchmark files share bundles.
-_SUITES: Dict[bool, FigureSuite] = {}
-
-
-def shared_suite(smoke: bool = False) -> FigureSuite:
-    """The process-wide in-memory suite for one mode (created on demand)."""
-    suite = _SUITES.get(smoke)
-    if suite is None:
-        suite = _SUITES[smoke] = FigureSuite(smoke=smoke)
-    return suite
-
-
-def run_figure(figure_id: str, smoke: bool = False) -> FigureArtifact:
-    """Run one registered figure spec through the shared suite."""
-    return shared_suite(smoke).run_one(figure_id)
-
+from pathlib import Path
+from typing import Any, Dict, List
 
 #: Prefix of the machine-readable result line every benchmark emits.
 BENCH_PREFIX = "BENCH "
@@ -76,103 +53,16 @@ def print_header(title: str, paper_reference: str) -> None:
     print("#" * 78)
 
 
-def _is_flat_row(row: Dict[str, Any]) -> bool:
-    return all(not isinstance(value, (list, dict)) for value in row.values())
+def append_trajectory(path: Path, benchmark: str, point: Dict[str, Any]) -> None:
+    """Append one measured point to a cross-PR trajectory file.
 
-
-def _emit_tables(value: Any, label: str) -> None:
-    """Render every list-of-flat-dicts in a payload subtree as a table."""
-    if isinstance(value, list) and value and all(isinstance(i, dict) for i in value):
-        if all(_is_flat_row(row) for row in value):
-            table = ExperimentTable(label)
-            for row in value:
-                table.add_row(**row)
-            print(table.render())
-            return
-        for index, item in enumerate(value):
-            _emit_tables(item, f"{label}[{index}]")
-    elif isinstance(value, dict):
-        scalars = {
-            key: entry
-            for key, entry in value.items()
-            if not isinstance(entry, (list, dict))
-        }
-        if scalars:
-            table = ExperimentTable(label)
-            table.add_row(**scalars)
-            print(table.render())
-        for key, entry in value.items():
-            if isinstance(entry, (list, dict)):
-                _emit_tables(entry, f"{label}.{key}")
-
-
-def emit_artifact(artifact: FigureArtifact) -> None:
-    """Print the tables, the claim/headline/checks, and the BENCH line."""
-    print_header(artifact.title, artifact.paper_reference)
-    for key, value in artifact.payload.items():
-        if key in ("headline", "checks"):
-            continue
-        _emit_tables(value, key)
-    print(f"paper claim: {artifact.claim}")
-    print(f"reproduced:  {artifact.payload.get('headline', '(spec errored)')}")
-    for entry in artifact.payload.get("checks", []):
-        status = "PASS" if entry["passed"] else "FAIL"
-        detail = f" ({entry['detail']})" if entry.get("detail") else ""
-        print(f"  check {status} {entry['name']}{detail}")
-    emit_bench(
-        {
-            "benchmark": artifact.figure_id,
-            "mode": artifact.mode,
-            "status": artifact.status,
-            **artifact.payload,
-        }
-    )
-
-
-def benchmark_shim(
-    figure_id: str,
-) -> Tuple[Callable[..., None], Callable[[Optional[Sequence[str]]], None]]:
-    """The pytest entry point and standalone ``main`` for one figure shim.
-
-    Usage in a benchmark file::
-
-        test_fig04, main = benchmark_shim("fig04")
-
-        if __name__ == "__main__":
-            main()
-
-    The pytest function runs the spec through pytest-benchmark (one
-    iteration, like the legacy scripts) and fails on spec errors or failed
-    declarative checks; ``main`` additionally understands ``--smoke``.
+    A missing file starts as ``{"benchmark": benchmark, "points": []}``;
+    the file is rewritten as indented json with a trailing newline.
     """
-    # Imported here so pytest-free environments (CI smoke jobs that only
-    # need emit_bench/parse_bench_lines) can import this module.
-    import pytest
-
-    spec = figure_spec(figure_id)  # fail fast on unknown ids at import time
-
-    @pytest.mark.benchmark(group=figure_id)
-    def test(benchmark):
-        artifact = benchmark.pedantic(
-            run_figure, args=(figure_id,), iterations=1, rounds=1
-        )
-        emit_artifact(artifact)
-        assert artifact.status != "error", artifact.error
-        failed = artifact.failed_checks
-        assert not failed, f"failed checks: {[entry['name'] for entry in failed]}"
-
-    test.__name__ = f"test_{figure_id}"
-    test.__doc__ = f"{spec.paper_reference}: {spec.title}"
-
-    def main(argv: Optional[Sequence[str]] = None) -> None:
-        parser = argparse.ArgumentParser(description=f"{spec.paper_reference}: {spec.title}")
-        parser.add_argument(
-            "--smoke", action="store_true", help="CI-sized windows and sweep axes"
-        )
-        args = parser.parse_args(argv)
-        artifact = run_figure(figure_id, smoke=args.smoke)
-        emit_artifact(artifact)
-        if artifact.status != "ok":
-            raise SystemExit(1)
-
-    return test, main
+    if path.exists():
+        trajectory = json.loads(path.read_text())
+    else:
+        trajectory = {"benchmark": benchmark, "points": []}
+    trajectory["points"].append(point)
+    path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    print(f"appended point {point['label']!r} to {path}")

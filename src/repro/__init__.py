@@ -14,8 +14,8 @@ The package is organized as:
   idealized Appendix-B design;
 * :mod:`repro.registry` — the pluggable policy registry every system
   registers with;
-* :mod:`repro.experiments` — the unified experiment runner and the harness
-  behind every benchmark.
+* :mod:`repro.experiments` — the unified experiment runner behind every
+  figure and benchmark.
 """
 
 from repro.core.skyscraper import Skyscraper, SkyscraperResources

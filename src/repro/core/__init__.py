@@ -32,7 +32,7 @@ from repro.core.categorizer import ContentCategorizer
 from repro.core.forecaster import ContentForecaster, ForecastDataset
 from repro.core.planner import KnobPlan, KnobPlanner
 from repro.core.switcher import KnobSwitcher, SwitchDecision
-from repro.core.engine import IngestionEngine, IngestionResult, SegmentTrace
+from repro.core.engine import IngestionEngine, IngestionResult, Policy, SegmentTrace
 from repro.core.events import EventLoop, StreamSession
 from repro.core.fleet import (
     DailyBudgetLedger,
@@ -47,7 +47,7 @@ from repro.core.fleet import (
     register_scheduler,
     scheduler_names,
 )
-from repro.core.policy import Policy, SkyscraperPolicy
+from repro.core.policy import SkyscraperPolicy
 from repro.core.filtering import filter_knob_configurations, sample_diverse_segments
 from repro.core.offline import (
     EvaluationCache,

@@ -33,8 +33,9 @@ from repro.core.categorizer import ContentCategorizer
 from repro.core.forecaster import ContentForecaster
 from repro.core.interfaces import VETLWorkload
 from repro.core.knobs import KnobConfiguration
+from repro.core.offline import OfflinePhaseReport
 from repro.core.profiles import build_profiles
-from repro.core.skyscraper import OfflinePhaseReport, Skyscraper, SkyscraperResources
+from repro.core.skyscraper import Skyscraper, SkyscraperResources
 from repro.errors import ConfigurationError
 from repro.ml.mlp import MLPConfig
 

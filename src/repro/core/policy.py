@@ -21,9 +21,6 @@ from repro.core.planner import KnobPlanner
 from repro.core.profiles import ProfileSet
 from repro.core.switcher import KnobSwitcher
 
-# Re-export the protocol so ``from repro.core.policy import Policy`` works.
-from repro.core.engine import Policy  # noqa: F401  (re-export)
-
 
 class SkyscraperPolicy:
     """The full online Skyscraper: predictive planning + reactive switching.

@@ -59,7 +59,6 @@ from repro.video.stream import SyntheticVideoSource
 SECONDS_PER_DAY = 86_400.0
 
 __all__ = [
-    "OfflinePhaseReport",  # re-exported; lives in repro.core.offline since PR 3
     "Skyscraper",
     "SkyscraperResources",
 ]

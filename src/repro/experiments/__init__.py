@@ -1,13 +1,9 @@
-"""Experiment harness: hardware tiers, the unified runner, sweeps, formatting.
-
-The benchmarks under ``benchmarks/`` are thin wrappers around this package:
-every table and figure of the paper's evaluation section has a function here
-that produces the corresponding rows/series, and a benchmark file that prints
-them (and exercises the code path under ``pytest-benchmark``).
+"""Experiments: hardware tiers, the unified runner, sweeps, formatting.
 
 The public experiment API is :class:`ExperimentRunner` plus the policy
-registry (:mod:`repro.registry`); the old ``run_*`` functions remain as
-deprecated shims in :mod:`repro.experiments.harness`.
+registry (:mod:`repro.registry`).  The registered figure specs of
+:mod:`repro.figures` build every table and figure of the paper's evaluation
+section from the runs, sweeps and result records defined here.
 """
 
 from repro.experiments.hardware import MACHINE_TIERS, cluster_for, machine_for
@@ -26,13 +22,6 @@ from repro.experiments.runner import (
     cost_reduction_factor,
     prepare_bundle,
     provisioned_cost_dollars,
-)
-from repro.experiments.harness import (
-    cost_quality_sweep,
-    run_skyscraper,
-    run_static,
-    run_chameleon,
-    run_videostorm,
 )
 from repro.experiments.ablation import (
     AblationVariant,
@@ -56,11 +45,6 @@ __all__ = [
     "prepare_bundle",
     "provisioned_cost_dollars",
     "cost_reduction_factor",
-    "cost_quality_sweep",
-    "run_skyscraper",
-    "run_static",
-    "run_chameleon",
-    "run_videostorm",
     "AblationVariant",
     "ablation_cost_sweep",
     "work_quality_curves",

@@ -1,13 +1,11 @@
 """The registered figure catalog: every evaluation figure/table as a spec.
 
-Each spec here is the declarative port of one legacy ``benchmarks/bench_*``
-script: the workload bundles come from the shared
-:class:`~repro.figures.context.FigureContext` (so figures sharing an offline
-phase pay for it once), the scale shrinks in smoke mode through
-``ctx.scale(full, smoke)``, and the legacy scripts' hard-coded assertions
-became declarative ``checks`` entries in the payload.  The scripts themselves
-are thin shims that run these specs through the suite and emit ``BENCH``
-json lines.
+Each spec here reproduces one figure or table: the workload bundles come
+from the shared :class:`~repro.figures.context.FigureContext` (so figures
+sharing an offline phase pay for it once), the scale shrinks in smoke mode
+through ``ctx.scale(full, smoke)``, and the figure's shape assertions are
+declarative ``checks`` entries in the payload.  Run one with
+``python -m repro.figures run --only ID``.
 
 Scale note: full mode runs the benchmark scale of the legacy suite (12 h of
 history, ~1.2 h online — minutes end to end), not the paper's 16-day/8-day

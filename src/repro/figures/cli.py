@@ -49,7 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="run every registered figure"
     )
     selection.add_argument(
-        "--only", nargs="+", metavar="FIGURE", help="run only these figure ids"
+        "--only",
+        nargs="+",
+        choices=figure_names(),
+        metavar="FIGURE",
+        help="run only these figure ids",
     )
     run.add_argument(
         "--smoke",

@@ -6,8 +6,8 @@ workloads, systems and sweep axes it exercises, the schema its payload must
 satisfy, and the function that actually produces that payload.  Specs register
 under a stable id (``"fig04"``, ``"table1"``, ...) through
 :func:`register_figure`, exactly like policies register with
-:mod:`repro.registry` — the suite runner, the benchmark shims and the CLI all
-resolve figures purely by id.
+:mod:`repro.registry` — the suite runner and the CLI resolve figures purely
+by id.
 
 A spec's runner receives a :class:`~repro.figures.context.FigureContext` and
 returns a JSON-serializable payload.  Two keys are mandatory in every payload

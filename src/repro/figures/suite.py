@@ -1,14 +1,13 @@
 """The figure-suite runner: executes registered specs, writes JSON artifacts.
 
 :class:`FigureSuite` is the one engine behind every reproduction entry point
-— the ``python -m repro.figures`` CLI, the per-figure benchmark shims under
-``benchmarks/`` and the tests all run specs through it.  It owns one shared
-:class:`~repro.figures.context.BundleProvider` (so figures sharing an offline
-phase pay for it once), snapshots the provider's cache counters around every
-spec, converts spec failures into ``status="error"`` artifacts instead of
-aborting the suite, and optionally fans independent specs out over a process
-pool — worker processes share the on-disk stage cache, so parallel runs stay
-cache-coherent.
+— the ``python -m repro.figures`` CLI and the tests run specs through it.  It
+owns one shared :class:`~repro.figures.context.BundleProvider` (so figures
+sharing an offline phase pay for it once), snapshots the provider's cache
+counters around every spec, converts spec failures into ``status="error"``
+artifacts instead of aborting the suite, and optionally fans independent specs
+out over a process pool — worker processes share the on-disk stage cache, so
+parallel runs stay cache-coherent.
 """
 
 from __future__ import annotations

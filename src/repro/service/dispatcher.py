@@ -24,9 +24,7 @@ from repro.service.jobs import (
     JobStore,
 )
 
-# Re-exported for backwards compatibility: admission failures were defined
-# here before the joint planner needed to raise them from repro.planning.
-__all__ = ["AdmissionError", "JobDispatcher", "TenantQuota"]
+__all__ = ["JobDispatcher", "TenantQuota"]
 
 
 @dataclass(frozen=True)

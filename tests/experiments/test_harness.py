@@ -1,4 +1,4 @@
-"""Tests for the experiment harness, hardware tiers and result formatting."""
+"""Tests for the experiment runner, hardware tiers and result formatting."""
 
 import pytest
 
@@ -6,16 +6,12 @@ from repro.cluster.cost import GCP_MACHINES
 from repro.errors import ConfigurationError
 from repro.experiments.ablation import AblationVariant, ABLATION_VARIANTS
 from repro.experiments.hardware import MACHINE_TIERS, cluster_for, machine_for
-from repro.experiments.harness import (
+from repro.experiments.runner import (
     ExperimentConfig,
-    cost_quality_sweep,
+    ExperimentRunner,
     cost_reduction_factor,
     prepare_bundle,
     provisioned_cost_dollars,
-    run_chameleon,
-    run_skyscraper,
-    run_static,
-    run_videostorm,
 )
 from repro.experiments.results import (
     CostQualityPoint,
@@ -29,7 +25,7 @@ from repro.workloads.covid import make_covid_setup
 
 @pytest.fixture(scope="module")
 def small_bundle():
-    """A deliberately tiny bundle so harness tests stay fast."""
+    """A deliberately tiny bundle so runner tests stay fast."""
     setup = make_covid_setup(history_days=0.5, online_days=0.05)
     config = ExperimentConfig(
         history_days=0.5,
@@ -60,10 +56,11 @@ def test_experiment_config_windows():
 
 
 def test_single_runs_produce_sane_results(small_bundle):
-    static = run_static(small_bundle, cores=4)
-    sky = run_skyscraper(small_bundle, cores=4)
-    chameleon = run_chameleon(small_bundle, cores=4)
-    videostorm = run_videostorm(small_bundle, cores=4)
+    runner = ExperimentRunner(small_bundle)
+    static = runner.run("static", cores=4)
+    sky = runner.run("skyscraper", cores=4)
+    chameleon = runner.run("chameleon*", cores=4)
+    videostorm = runner.run("videostorm", cores=4)
     for result in (static, sky, chameleon, videostorm):
         assert result.segments_total > 0
         assert 0.0 <= result.weighted_quality <= 1.0
@@ -72,8 +69,7 @@ def test_single_runs_produce_sane_results(small_bundle):
 
 
 def test_cost_quality_sweep_shapes(small_bundle):
-    points = cost_quality_sweep(
-        small_bundle,
+    points = ExperimentRunner(small_bundle).sweep(
         tiers=["e2-standard-4", "e2-standard-16"],
         systems=("static", "skyscraper"),
         skyscraper_tiers=["e2-standard-4"],

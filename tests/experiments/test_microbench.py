@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.harness import ExperimentConfig, prepare_bundle
+from repro.experiments.runner import ExperimentConfig, prepare_bundle
 from repro.experiments.microbench import (
     category_label_series,
     figure3_trace,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines.static import StaticPolicy
 from repro.errors import ConfigurationError
-from repro.experiments.harness import run_chameleon, run_skyscraper, run_static
 from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentRunner,
@@ -94,21 +93,6 @@ def test_create_policy_forwards_options(small_bundle):
 # --------------------------------------------------------------------- #
 # Runner
 # --------------------------------------------------------------------- #
-def test_runner_matches_deprecated_shims(small_bundle):
-    runner = ExperimentRunner(small_bundle)
-    with pytest.warns(DeprecationWarning):
-        old_static = run_static(small_bundle, cores=4)
-    assert asdict(runner.run("static", cores=4)) == asdict(old_static)
-
-    with pytest.warns(DeprecationWarning):
-        old_sky = run_skyscraper(small_bundle, cores=4)
-    assert asdict(runner.run("skyscraper", cores=4)) == asdict(old_sky)
-
-    with pytest.warns(DeprecationWarning):
-        old_chameleon = run_chameleon(small_bundle, cores=4)
-    assert asdict(runner.run("chameleon", cores=4)) == asdict(old_chameleon)
-
-
 def test_runner_requires_exactly_one_of_cores_or_tier(small_bundle):
     runner = ExperimentRunner(small_bundle)
     with pytest.raises(ConfigurationError):

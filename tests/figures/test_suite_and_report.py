@@ -1,4 +1,4 @@
-"""Figure suite: artifacts, determinism, cache accounting, report, shims."""
+"""Figure suite: artifacts, determinism, cache accounting, report, CLI."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.figures import (
     BundleProvider,
     FigureSuite,
     check_report,
+    cli,
     load_artifacts,
     register_figure,
     render_report,
@@ -105,7 +106,7 @@ def test_missing_headline_is_a_schema_violation(scratch_specs):
 
 
 # ------------------------------------------------------------------ #
-# Real specs: smoke determinism and shim parity
+# Real specs: smoke determinism
 # ------------------------------------------------------------------ #
 def test_smoke_mode_artifact_is_deterministic():
     """Two independent smoke runs of a real spec produce identical payloads."""
@@ -117,24 +118,47 @@ def test_smoke_mode_artifact_is_deterministic():
     )
 
 
-def test_legacy_shim_bench_line_matches_spec_output(capsys):
-    """The BENCH json a legacy script emits IS the registered spec's payload."""
-    from benchmarks.bench_fig22_simulator_micro import main
+# ------------------------------------------------------------------ #
+# The python -m repro.figures CLI
+# ------------------------------------------------------------------ #
+def _cli_run(figure_id, out_dir):
+    return cli.main(["run", "--only", figure_id, "--out", str(out_dir), "--no-report"])
 
-    main(["--smoke"])
-    bench_lines = [
-        line
-        for line in capsys.readouterr().out.splitlines()
-        if line.startswith("BENCH ")
-    ]
-    assert len(bench_lines) == 1
-    emitted = json.loads(bench_lines[0][len("BENCH "):])
-    assert emitted.pop("benchmark") == "fig22"
-    assert emitted.pop("mode") == "smoke"
-    assert emitted.pop("status") == STATUS_OK
 
-    artifact = FigureSuite(smoke=True).run_one("fig22")
-    assert emitted == artifact.payload
+def test_cli_run_writes_artifact_and_exits_zero(tmp_path, scratch_specs):
+    scratch_specs(
+        "zz_cli_ok",
+        lambda ctx: {
+            "headline": "fine",
+            "checks": [{"name": "c", "passed": True, "detail": ""}],
+            "value": 1.0,
+        },
+    )
+    assert _cli_run("zz_cli_ok", tmp_path) == 0
+    document = json.loads((tmp_path / "zz_cli_ok.json").read_text())
+    assert document["status"] == STATUS_OK
+
+
+def test_cli_run_exits_one_on_failed_check(tmp_path, scratch_specs):
+    scratch_specs(
+        "zz_cli_failing",
+        lambda ctx: {
+            "headline": "h",
+            "checks": [{"name": "nope", "passed": False, "detail": "broken"}],
+            "value": 0.0,
+        },
+    )
+    assert _cli_run("zz_cli_failing", tmp_path) == 1
+    document = json.loads((tmp_path / "zz_cli_failing.json").read_text())
+    assert document["status"] == STATUS_CHECK_FAILED
+
+
+def test_cli_rejects_unknown_figure_ids(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        _cli_run("fig99", tmp_path)
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'fig99'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------------ #

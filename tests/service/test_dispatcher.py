@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.service.dispatcher import AdmissionError, JobDispatcher, TenantQuota
+from repro.errors import AdmissionError, ConfigurationError
+from repro.service.dispatcher import JobDispatcher, TenantQuota
 from repro.service.jobs import (
     DEAD_LETTER,
     FAILED,
