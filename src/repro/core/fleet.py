@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Union
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.cluster.resources import CloudSpec, ClusterSpec
 from repro.core.engine import IngestionResult, Policy, SECONDS_PER_DAY
@@ -95,13 +96,27 @@ class DailyBudgetLedger:
 class Scheduler(Protocol):
     """Decides which ready stream's pending segment gets the cluster next.
 
-    ``select`` receives the sessions that have at least one pending segment,
-    in fleet order, and the current simulation time; it returns one of them.
-    Schedulers may keep state between calls (e.g. a round-robin cursor); the
+    A scheduler implements three methods, each called by the fleet engine:
+
+    * ``reset()`` once at the start of every run, so an instance reused
+      across runs starts clean;
+    * ``update(session)`` after every admitted arrival and every finish of
+      ``session`` — the only events that change a session's buffer fill or
+      make an empty queue non-empty;
+    * ``select(ready, now)`` once per serve: ``ready`` holds the sessions
+      with at least one pending segment, in fleet order; it returns one.
+
+    A scheduler that only scans ``ready`` makes ``update`` a no-op.  The
     fleet engine builds a fresh instance per run when given a name.
     """
 
     name: str
+
+    def reset(self) -> None:
+        ...
+
+    def update(self, session: StreamSession) -> None:
+        ...
 
     def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
         ...
@@ -146,6 +161,12 @@ class FifoScheduler:
 
     name = "fifo"
 
+    def reset(self) -> None:
+        pass
+
+    def update(self, session: StreamSession) -> None:
+        pass
+
     def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
         return min(ready, key=lambda session: session.pending[0].arrival_time)
 
@@ -157,7 +178,13 @@ class RoundRobinScheduler:
     name = "round-robin"
 
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
         self._cursor = 0
+
+    def update(self, session: StreamSession) -> None:
+        pass
 
     def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
         chosen = next(
@@ -167,6 +194,10 @@ class RoundRobinScheduler:
         return chosen
 
 
+#: A lag-aware heap entry: ``(-fill, stream index, version, session)``.
+_FillEntry = Tuple[float, int, int, StreamSession]
+
+
 @register_scheduler("lag-aware")
 class LagAwareScheduler:
     """Overflow-risk priority: fullest buffer first, ties broken by lag.
@@ -174,18 +205,61 @@ class LagAwareScheduler:
     A stream whose buffer is nearly full is about to drop segments no matter
     how patient the others are, so it gets the cores first; among equally
     endangered streams the one that has waited longest wins.
+
+    A stream's fill only changes on an admitted arrival or a finish, so the
+    ready streams sit in a lazy heap keyed ``(-fill, index, version)`` that
+    ``update`` pushes to.  ``select`` drops stale entries (an older version,
+    or a queue the engine has emptied) and compares lags only within the
+    group sharing the top fill, in fleet order: the stream a ``(fill, lag)``
+    max over every ready stream picks, ties included.  Once the heap holds
+    more than twice as many entries as there are streams it is rebuilt from
+    its live entries.
     """
 
     name = "lag-aware"
 
-    def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
-        def priority(session: StreamSession):
-            capacity = session.buffer_capacity_bytes
-            fill = session.buffer_bytes / capacity if capacity > 0 else 1.0
-            lag = now - session.pending[0].arrival_time
-            return (fill, lag)
+    def __init__(self):
+        self.reset()
 
-        return max(ready, key=priority)
+    def reset(self) -> None:
+        self._heap: List[_FillEntry] = []
+        self._versions: Dict[int, int] = {}
+
+    def update(self, session: StreamSession) -> None:
+        index = session.index
+        version = self._versions.get(index, 0) + 1
+        self._versions[index] = version
+        if not session.pending:
+            return
+        capacity = session.buffer_capacity_bytes
+        fill = session.buffer_bytes / capacity if capacity > 0 else 1.0
+        heappush(self._heap, (-fill, index, version, session))
+        if len(self._heap) > 2 * len(self._versions):
+            self._heap = [entry for entry in self._heap if self._live(entry)]
+            heapify(self._heap)
+
+    def _live(self, entry: _FillEntry) -> bool:
+        return entry[2] == self._versions[entry[1]] and bool(entry[3].pending)
+
+    def select(self, ready: Sequence[StreamSession], now: float) -> StreamSession:
+        heap = self._heap
+        top = heappop(heap)
+        while not self._live(top):
+            top = heappop(heap)
+        group = [top]
+        while heap and heap[0][0] == top[0]:
+            entry = heappop(heap)
+            if self._live(entry):
+                group.append(entry)
+        for entry in group:
+            heappush(heap, entry)
+        if len(group) == 1:
+            return top[3]
+        # Equal fills: the first longest-waiting stream in fleet order.
+        return max(
+            (entry[3] for entry in group),
+            key=lambda session: now - session.pending[0].arrival_time,
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -325,7 +399,8 @@ class FleetEngine:
             the whole fleet through one :class:`DailyBudgetLedger`.
         scheduler: a registered scheduler name (``"fifo"``,
             ``"round-robin"``, ``"lag-aware"``) or a :class:`Scheduler`
-            instance.  Names build a fresh instance per run.
+            instance.  Names build a fresh instance per run; an instance
+            is ``reset`` at the start of every run.
         keep_traces: whether sessions record per-segment traces.
         ledger: an external budget ledger to charge instead of a fresh
             per-run :class:`DailyBudgetLedger` — how sharded fleets spend
@@ -387,6 +462,7 @@ class FleetEngine:
             sessions.append(session)
 
         scheduler = make_scheduler(self.scheduler)
+        scheduler.reset()
         ledger = (
             self.ledger
             if self.ledger is not None
@@ -405,10 +481,11 @@ class FleetEngine:
             self._schedule_next_arrival(loop, session)
 
         busy_until = start_time
-        # The ready list (sessions with pending segments, in fleet order) is
-        # maintained incrementally: a session enters when an arrival lands in
-        # its empty queue and leaves when its last pending segment is served.
-        # This replaces the per-serve O(n_streams) rebuild of the old loop.
+        # ``ready`` holds the sessions with pending segments, in fleet order:
+        # a session enters when an arrival lands in its empty queue and
+        # leaves when its last pending segment is served.  The scheduler
+        # hears of every admitted arrival and finish through ``update``,
+        # which keeps an index of its own (lag-aware's fill heap) current.
         ready: List[StreamSession] = []
         while len(loop):
             now = loop.next_time()
@@ -418,9 +495,12 @@ class FleetEngine:
                 _, kind, session, payload = loop.pop()
                 if kind == FINISH:
                     session.on_finish(payload)
+                    scheduler.update(session)
                 elif kind == ARRIVAL:
-                    if session.on_arrival(payload) and len(session.pending) == 1:
-                        insort(ready, session, key=lambda entry: entry.index)
+                    if session.on_arrival(payload):
+                        if len(session.pending) == 1:
+                            insort(ready, session, key=lambda entry: entry.index)
+                        scheduler.update(session)
                     self._schedule_next_arrival(loop, session)
             # Hand the cluster to pending segments while it is idle; each
             # decision advances the shared clock, so at most one segment is

@@ -22,6 +22,11 @@ values, pinning the loop/switcher/accumulation changes exactly), while the
 benchmark passes :func:`scalar_segments` (the loop then also pays the
 pre-vectorization per-segment content cost, reproducing the seed).
 
+The built-in schedulers' scanning ``select`` rules are frozen here as well
+(:func:`frozen_scheduler_rule`).  ``reference_fleet_run`` picks every serve
+with them rather than with the live schedulers, so a change to a live rule
+(lag-aware's incremental fill heap, say) is checked against the scan.
+
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
 change of the engine.
@@ -407,13 +412,74 @@ class _ReferenceSession:
         return finish, cloud_dollars
 
 
+# --------------------------------------------------------------------- #
+# Frozen scheduler rules
+# --------------------------------------------------------------------- #
+class _FrozenFifoRule:
+    """Verbatim copy of the scanning ``FifoScheduler.select``."""
+
+    name = "fifo"
+
+    def select(self, ready, now):
+        return min(ready, key=lambda session: session.pending[0].arrival_time)
+
+
+class _FrozenRoundRobinRule:
+    """Verbatim copy of the scanning ``RoundRobinScheduler.select``."""
+
+    name = "round-robin"
+
+    def __init__(self):
+        self._cursor = 0
+
+    def select(self, ready, now):
+        chosen = next(
+            (session for session in ready if session.index >= self._cursor), ready[0]
+        )
+        self._cursor = chosen.index + 1
+        return chosen
+
+
+class _FrozenLagAwareRule:
+    """Verbatim copy of the linear ``LagAwareScheduler.select`` scan."""
+
+    name = "lag-aware"
+
+    def select(self, ready, now):
+        def priority(session):
+            capacity = session.buffer_capacity_bytes
+            fill = session.buffer_bytes / capacity if capacity > 0 else 1.0
+            lag = now - session.pending[0].arrival_time
+            return (fill, lag)
+
+        return max(ready, key=priority)
+
+
+_FROZEN_RULES = {
+    rule.name: rule for rule in (_FrozenFifoRule, _FrozenRoundRobinRule, _FrozenLagAwareRule)
+}
+
+
+def frozen_scheduler_rule(name: str):
+    """A fresh frozen rule for the built-in scheduler ``name``.
+
+    A rule only has ``select(ready, now)``, which scans ``ready`` (the
+    sessions with pending segments, in fleet order) on every call.
+    """
+    if name not in _FROZEN_RULES:
+        raise ConfigurationError(
+            f"no frozen rule for scheduler {name!r}; frozen: {sorted(_FROZEN_RULES)}"
+        )
+    return _FROZEN_RULES[name]()
+
+
 def reference_fleet_run(
     streams: Sequence,
     start_time: float,
     end_time: float,
     cluster: ClusterSpec,
     cloud: Optional[CloudSpec] = None,
-    scheduler="fifo",
+    scheduler: str = "fifo",
     keep_traces: bool = True,
     ledger=None,
     segments_fn: Optional[Callable[..., Iterator[VideoSegment]]] = None,
@@ -421,11 +487,13 @@ def reference_fleet_run(
     """Verbatim copy of the pre-columnar ``FleetEngine.run``.
 
     ``streams`` is a sequence of :class:`~repro.core.fleet.FleetStream`;
+    ``scheduler`` names a built-in scheduler, whose frozen rule
+    (:func:`frozen_scheduler_rule`) picks every serve;
     ``segments_fn(source, start, end)`` overrides how each session reads its
     segments (``None`` uses the live ``source.segments``).  Returns a
     :class:`~repro.core.fleet.FleetResult`.
     """
-    from repro.core.fleet import DailyBudgetLedger, FleetResult, make_scheduler
+    from repro.core.fleet import DailyBudgetLedger, FleetResult
 
     if end_time <= start_time:
         raise ConfigurationError("end_time must be after start_time")
@@ -452,7 +520,7 @@ def reference_fleet_run(
         session.index = index
         sessions.append(session)
 
-    resolved_scheduler = make_scheduler(scheduler)
+    resolved_scheduler = frozen_scheduler_rule(scheduler)
     shared_ledger = ledger if ledger is not None else DailyBudgetLedger(cloud.daily_budget_dollars)
     stream_ledgers = [
         stream.ledger if stream.ledger is not None else shared_ledger for stream in streams
@@ -502,7 +570,7 @@ def reference_fleet_run(
             schedule(finish, _FINISH, chosen.index, entry.segment.encoded_bytes)
 
     return FleetResult(
-        scheduler=getattr(resolved_scheduler, "name", type(resolved_scheduler).__name__),
+        scheduler=resolved_scheduler.name,
         start_time=start_time,
         end_time=end_time,
         stream_results={session.stream_id: session.finalize() for session in sessions},

@@ -240,7 +240,10 @@ class TestSchedulers:
             session.buffer_bytes = 900_000
         # The relaxed stream has even waited longer, but fill ratio wins.
         relaxed.pending[0].arrival_time = 1.0
-        chosen = LagAwareScheduler().select([relaxed, endangered], now=20.0)
+        scheduler = LagAwareScheduler()
+        for session in (relaxed, endangered):
+            scheduler.update(session)
+        chosen = scheduler.select([relaxed, endangered], now=20.0)
         assert chosen is endangered
 
 

@@ -349,11 +349,19 @@ def test_fallback_order_edges(switcher):
 # --------------------------------------------------------------------- #
 # Fleet engine vs the frozen reference loop
 # --------------------------------------------------------------------- #
-def _fleet_streams(sky, workload, source, n_streams, columnar=True):
+def _fleet_streams(
+    sky,
+    workload,
+    source,
+    n_streams,
+    columnar=True,
+    buffer_capacity_bytes=200_000_000,
+    phase_shift_seconds=1_800.0,
+):
     setup = WorkloadSetup(
         workload=workload, source=source, history_days=0.25, online_days=0.01
     )
-    scenario = make_fleet_scenario(setup, n_streams, phase_shift_seconds=1_800.0)
+    scenario = make_fleet_scenario(setup, n_streams, phase_shift_seconds=phase_shift_seconds)
     profiles = sky.profiles
     static_profile = best_static_configuration(
         profiles, source.segment_seconds, cores=8
@@ -371,28 +379,45 @@ def _fleet_streams(sky, workload, source, n_streams, columnar=True):
                 source=spec.source,
                 policy=policy,
                 stream_id=spec.stream_id,
-                buffer_capacity_bytes=200_000_000,
+                buffer_capacity_bytes=buffer_capacity_bytes,
             )
         )
     return streams
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "round-robin", "lag-aware"])
+@pytest.mark.parametrize(
+    "scheduler, fleet",
+    [
+        ("fifo", {"n_streams": 3}),
+        ("round-robin", {"n_streams": 3}),
+        ("lag-aware", {"n_streams": 3}),
+        # Unshifted cameras see the same segment sizes, so fills tie across
+        # streams, and a buffer of a few segments fills up and drops.
+        (
+            "lag-aware",
+            {"n_streams": 12, "buffer_capacity_bytes": 1_000_000, "phase_shift_seconds": 0.0},
+        ),
+    ],
+    ids=["fifo", "round-robin", "lag-aware", "lag-aware-ties"],
+)
 def test_fleet_run_matches_reference_loop_bitwise(
-    scheduler, fitted_skyscraper, covid_workload, covid_source
+    scheduler, fleet, fitted_skyscraper, covid_workload, covid_source
 ):
-    """Same segment columns on both sides: only the loop structure differs,
-    so every stream's result (traces included) must be bit-for-bit equal."""
+    """Same segment columns on both sides: only the loop structure and the
+    scheduler's index differ, so every stream's result (traces included)
+    must be bit-for-bit equal to the frozen loop and its frozen scan."""
     cluster = ClusterSpec(cores=8)
     cloud = CloudSpec(daily_budget_dollars=2.0)
     engine = FleetEngine(cluster=cluster, cloud=cloud, scheduler=scheduler, keep_traces=True)
     actual = engine.run(
-        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, 3),
+        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, **fleet),
         ONLINE_START,
         ONLINE_END,
     )
+    if fleet.get("buffer_capacity_bytes"):
+        assert actual.segments_dropped > 0
     expected = reference_fleet_run(
-        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, 3),
+        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, **fleet),
         ONLINE_START,
         ONLINE_END,
         cluster,
