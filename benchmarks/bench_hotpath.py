@@ -7,11 +7,12 @@ pre-vectorization implementations in ``repro.core.reference``:
   timestamps vs a ``scalar_state_at`` loop;
 * ``segment_record`` — ``SyntheticVideoSource.record`` (one columnar pass)
   vs the ``scalar_segments`` generator;
-* ``switcher_select`` — the switcher's columnar ``PlacementTable.select``
-  vs the scalar ``_select_feasible`` scan over the same decision stream;
+* ``switcher_select`` — the switcher's pruned ``PlacementTable.select``
+  vs the frozen switcher's full ``_select_feasible`` scan over the same
+  decision stream;
 * ``fleet_scaling_32`` — the full fleet simulation at 32 skyscraper
   streams: the vectorized ``FleetEngine.run`` vs ``reference_fleet_run``
-  driving scalar segment generation and scalar switcher scans.
+  driving scalar segment generation and the frozen switcher.
 
 Every kernel checks parity before it reports a time (bit-for-bit for the
 pure loop-structure changes, a documented ~1 ulp fp tolerance where numpy
@@ -39,9 +40,11 @@ from benchmarks.common import append_trajectory, emit_bench, print_header
 
 from repro.core.fleet import FleetEngine, FleetStream
 from repro.core.reference import (
+    frozen_twin,
     reference_fleet_run,
     scalar_segments,
     scalar_state_at,
+    use_frozen_switcher,
 )
 from repro.experiments.results import ExperimentTable
 from repro.experiments.runner import ExperimentRunner
@@ -133,15 +136,18 @@ def bench_segment_record(source, window_seconds: float) -> Dict[str, Any]:
 
 
 def bench_switcher_select(context, n_decisions: int) -> Dict[str, Any]:
-    """Columnar ``PlacementTable.select`` vs the scalar feasibility scan.
+    """The pruned ``PlacementTable.select`` vs the frozen full scan.
 
-    Both paths are pure functions of their inputs, so one switcher instance
-    serves both; the decision stream sweeps the planned configuration, the
-    backlog (including buffer-filling levels that force fallbacks) and the
-    remaining cloud budget (including zero, which forces on-prem scans).
+    Both scans are pure functions of their inputs, so the frozen twin of
+    one switcher serves as the reference; the decision stream
+    sweeps the planned configuration, the backlog (including buffer-filling
+    levels that force fallbacks) and the remaining cloud budget (including
+    zero, which forces on-prem scans).  Parity demands the very same
+    placement object.
     """
     switcher = create_policy("skyscraper", context).switcher
     table = switcher._placement_table
+    frozen = frozen_twin(switcher)
     n_configurations = len(switcher.profiles)
     capacity = switcher.buffer_capacity_bytes
     inputs = [
@@ -158,12 +164,12 @@ def bench_switcher_select(context, n_decisions: int) -> Dict[str, Any]:
         return [table.select(*entry) for entry in inputs]
 
     def scalar():
-        return [switcher._select_feasible(*entry) for entry in inputs]
+        return [frozen._select_feasible(*entry) for entry in inputs]
 
     vectorized, columnar_s = _timed(columnar)
     reference, scalar_s = _timed(scalar)
     parity = all(
-        a[0] == b[0] and (a[1] is b[1] or a[1] == b[1]) and a[2] == b[2]
+        a[0] == b[0] and a[1] is b[1] and a[2] == b[2]
         for a, b in zip(vectorized, reference)
     )
     return {
@@ -203,8 +209,7 @@ def bench_fleet_scaling(runner, bundle, n_streams: int) -> Dict[str, Any]:
 
     The reference side runs the complete pre-vectorization hot path: the
     scalar segment generator feeds the frozen per-event session loop, and
-    every stream's switcher is flipped to its scalar feasibility scan
-    (``use_columnar=False``).
+    every stream decides with the frozen switcher (``use_frozen_switcher``).
     """
     context = runner.context_for(
         "skyscraper", cores=FLEET_CORES, buffer_bytes=FLEET_BUFFER_BYTES
@@ -216,11 +221,12 @@ def bench_fleet_scaling(runner, bundle, n_streams: int) -> Dict[str, Any]:
     cloud = context.skyscraper.cloud
     start, end = bundle.config.online_start, bundle.config.online_end
 
-    def build_streams(columnar: bool) -> List[FleetStream]:
+    def build_streams(frozen: bool) -> List[FleetStream]:
         streams = []
         for spec in scenario.streams:
             policy = create_policy("skyscraper", context)
-            policy.switcher.use_columnar = columnar
+            if frozen:
+                use_frozen_switcher(policy)
             streams.append(
                 FleetStream(
                     workload=bundle.setup.workload,
@@ -236,11 +242,11 @@ def bench_fleet_scaling(runner, bundle, n_streams: int) -> Dict[str, Any]:
         engine = FleetEngine(
             cluster=cluster, cloud=cloud, scheduler="fifo", keep_traces=False
         )
-        return engine.run(build_streams(True), start, end)
+        return engine.run(build_streams(False), start, end)
 
     def scalar():
         return reference_fleet_run(
-            build_streams(False),
+            build_streams(True),
             start,
             end,
             cluster,

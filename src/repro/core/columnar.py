@@ -2,14 +2,19 @@
 
 The per-object loops the engine grew up with (one ``state_at`` per segment,
 one nested placement scan per switch decision, one attribute-chasing pass per
-arrival) are replaced by structure-of-arrays views built **once** from the
-existing object model and consumed by array ops:
+arrival) are replaced by structures built **once** from the existing object
+model:
 
-* :class:`PlacementTable` — every (configuration, placement) pair of a
-  :class:`~repro.core.profiles.ProfileSet` flattened into runtime/cost
-  columns in the switcher's exact scan order, so
-  :meth:`~repro.core.switcher.KnobSwitcher.decide` becomes a sliced mask
-  reduction instead of two nested Python loops;
+* :class:`PlacementTable` — the non-dominated placements of a
+  :class:`~repro.core.profiles.ProfileSet`, one block of plain lists per
+  configuration in the switcher's exact scan order.  Within a block,
+  placements are sorted by ascending cloud cost, and one is kept only if it
+  is strictly faster than every earlier one; the dropped placements can
+  never be the scan's answer.  A kept block is cost-ascending and strictly
+  runtime-descending, so
+  :meth:`~repro.core.switcher.KnobSwitcher.decide` tests one placement per
+  configuration instead of scanning every profiled placement (see the class
+  docstring);
 * :class:`SessionColumns` — one stream's whole ingestion window as columns
   (arrival times, encoded sizes, bitrates, quality weights), built from a
   single batched pass over the content model
@@ -19,14 +24,16 @@ existing object model and consumed by array ops:
   when a segment is actually processed.
 
 Parity contract: every consumer keeps its object API and is pinned against
-the frozen pre-vectorization loop in :mod:`repro.core.reference` —
-bit-for-bit where only loop structure changed, and to a documented ~1 ulp
-tolerance where ``np.exp``/``np.power`` replaced ``math`` calls (see
+the frozen implementations in :mod:`repro.core.reference` — bit-for-bit
+where only loop structure changed (the table against the frozen switcher's
+full scan included), and to a documented ~1 ulp tolerance where
+``np.exp``/``np.power`` replaced ``math`` calls (see
 ``tests/core/test_hotpath_parity.py``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,21 +45,34 @@ from repro.video.stream import SegmentColumns, SyntheticVideoSource
 
 
 class PlacementTable:
-    """The switcher's feasibility scan, flattened into columns.
+    """The switcher's feasibility scan over its non-dominated placements.
 
-    The scalar switcher walks configurations from the planned one through
-    ever less qualitative ones (``_fallback_order``) and, per configuration,
-    its placements cheapest cloud spend first, returning the first placement
-    that is within budget and fits the buffer.  This table stores exactly
-    that scan order once: row ``k`` is the ``k``-th (configuration,
-    placement) pair the scalar scan would visit when the *most* qualitative
-    configuration is planned; planning a less qualitative configuration just
-    starts the scan at that configuration's first row.
+    The switcher walks configurations from the planned one through ever
+    less qualitative ones and, per configuration, its placements cheapest
+    cloud spend first.  It returns the first placement that is within
+    budget and fits the buffer; when none fits, the first strictly fastest
+    in-budget placement it saw (the "last resort"); when nothing is within
+    budget, the planned configuration's on-premise placement.
 
-    :meth:`select` evaluates the same IEEE comparisons as the scalar loop
-    over a slice of these columns, so its result is identical decision for
-    decision (including the budget epsilon, the first-fit tie-break, and the
-    first-strict-minimum "last resort" runtime scan).
+    The table holds one block per configuration, in that walk order, so
+    planning a less qualitative configuration just starts the walk at a
+    later block.  A block keeps only the placements that are strictly
+    faster than every earlier placement of the block.  The pruning is
+    exact.  A dropped placement has an earlier one that costs no more and
+    runs no slower.  The budget test and the buffer test are monotone in
+    cost and runtime, so that earlier placement passes both whenever the
+    dropped one does: the dropped one is never the first fit.  It is never
+    the last resort either: the earlier placement is in budget whenever the
+    dropped one is, and the strict-minimum rule sees it first.
+
+    After pruning, a block's costs ascend and its runtimes strictly
+    descend.  So the in-budget placements of a block are a prefix, and the
+    last of them is the block's fastest in-budget placement: if it does not
+    fit, no placement of the block fits, and it is the block's only
+    last-resort candidate.  :meth:`select` therefore tests one placement per
+    block until a block fits, then finds the first fitting placement of
+    that block.  Every test is the full scan's IEEE operations in the same
+    order, so it returns the very same placement object.
     """
 
     def __init__(
@@ -63,33 +83,32 @@ class PlacementTable:
         buffer_capacity_bytes: int,
         safety_margin: float,
     ):
-        config_indices: List[int] = []
-        placements: List[PlacementProfile] = []
-        runtimes: List[float] = []
-        cloud_dollars: List[float] = []
-        #: first table row of each configuration's placement block, by
-        #: configuration index (the scan for planned configuration ``c``
-        #: covers ``rows[start_row[c]:]``).
-        self.start_row = np.zeros(len(profiles), dtype=np.int64)
+        #: per configuration, in walk order: ``(configuration index, costs,
+        #: growths, runtimes, placements)`` of its kept placements, where a
+        #: growth is the buffer growth while the placement runs, per produced
+        #: byte/s (``max(runtime - segment_duration, 0)``).
+        self.blocks: List[tuple] = []
+        #: position of each configuration's block, by configuration index.
+        self.block_of: List[int] = [0] * len(profiles)
         for config_index in quality_order:
-            profile = profiles[config_index]
-            self.start_row[config_index] = len(placements)
-            for placement in profile.placements_by_cloud_cost():
-                config_indices.append(config_index)
-                placements.append(placement)
-                runtimes.append(placement.runtime_seconds)
-                cloud_dollars.append(placement.cloud_dollars)
-        self.config_index = np.array(config_indices, dtype=np.int64)
-        self.placements = placements
-        self.runtime_seconds = np.array(runtimes, dtype=float)
-        self.cloud_dollars = np.array(cloud_dollars, dtype=float)
-        #: buffer growth while a placement runs, per produced byte/s
-        #: (``max(runtime - segment_duration, 0)``) — precomputed because it
-        #: only depends on the placement.
-        self.growth_seconds = np.maximum(self.runtime_seconds - segment_duration, 0.0)
+            self.block_of[config_index] = len(self.blocks)
+            kept: List[PlacementProfile] = []
+            for placement in profiles[config_index].placements_by_cloud_cost():
+                if not kept or placement.runtime_seconds < kept[-1].runtime_seconds:
+                    kept.append(placement)
+            runtimes = [placement.runtime_seconds for placement in kept]
+            self.blocks.append(
+                (
+                    config_index,
+                    [placement.cloud_dollars for placement in kept],
+                    [max(runtime - segment_duration, 0.0) for runtime in runtimes],
+                    runtimes,
+                    kept,
+                )
+            )
         self.segment_duration = segment_duration
-        #: the scalar loop computes ``capacity * safety_margin`` afresh per
-        #: call; the product is identical, so precomputing keeps parity.
+        #: the scan computes ``capacity * safety_margin`` afresh per call;
+        #: the product is identical, so precomputing keeps parity.
         self.buffer_threshold = buffer_capacity_bytes * safety_margin
         self._on_prem = [profile.on_prem_placement for profile in profiles]
 
@@ -100,28 +119,37 @@ class PlacementTable:
         bytes_per_second: float,
         cloud_budget_remaining: float,
     ) -> Tuple[int, PlacementProfile, bool]:
-        """Vectorized twin of ``KnobSwitcher._select_feasible``."""
-        start = int(self.start_row[planned_choice])
-        budget_ok = self.cloud_dollars[start:] <= cloud_budget_remaining + 1e-12
+        """The first placement from ``planned_choice`` on that is within
+        budget and fits the buffer, as ``(configuration, placement,
+        fell_back)``."""
+        limit = cloud_budget_remaining + 1e-12
         rate = max(bytes_per_second, 0.0)
         headroom = self.segment_duration * rate
-        predicted = (backlog_bytes + self.growth_seconds[start:] * rate) + headroom
-        fits = predicted <= self.buffer_threshold
-        wins = budget_ok & fits
-        if wins.any():
-            row = start + int(np.argmax(wins))
-            choice = int(self.config_index[row])
-            return choice, self.placements[row], choice != planned_choice
-        if not budget_ok.any():
+        threshold = self.buffer_threshold
+        last_resort = None
+        fastest = 0.0
+        for config_index, costs, growths, runtimes, placements in self.blocks[
+            self.block_of[planned_choice]:
+        ]:
+            # ``cost > limit`` fails exactly for the prefix bisect_right keeps.
+            in_budget = bisect_right(costs, limit)
+            if not in_budget:
+                continue
+            row = in_budget - 1
+            if backlog_bytes + growths[row] * rate + headroom <= threshold:
+                row = 0
+                while not backlog_bytes + growths[row] * rate + headroom <= threshold:
+                    row += 1
+                return config_index, placements[row], config_index != planned_choice
+            if last_resort is None or runtimes[row] < fastest:
+                last_resort = (config_index, placements[row])
+                fastest = runtimes[row]
+        if last_resort is None:
             # Nothing is within budget: run the planned configuration on
-            # premises (the scalar loop's empty-candidate fallback).
+            # premises.
             return planned_choice, self._on_prem[planned_choice], False
-        # No placement avoids the overflow; pick the fastest in-budget one.
-        # ``np.argmin`` returns the first occurrence of the minimum, matching
-        # the scalar scan's strict-improvement update order.
-        masked_runtime = np.where(budget_ok, self.runtime_seconds[start:], np.inf)
-        row = start + int(np.argmin(masked_runtime))
-        return int(self.config_index[row]), self.placements[row], True
+        # No placement avoids the overflow; take the first fastest in-budget one.
+        return last_resort[0], last_resort[1], True
 
 
 class SessionColumns:

@@ -17,7 +17,7 @@ from repro.core.categorizer import ContentCategorizer
 from repro.core.engine import DecisionContext, PolicyDecision
 from repro.core.forecaster import ContentForecaster
 from repro.core.interfaces import SegmentOutcome
-from repro.core.planner import KnobPlanner
+from repro.core.planner import KnobPlan, KnobPlanner
 from repro.core.profiles import ProfileSet
 from repro.core.switcher import KnobSwitcher
 
@@ -44,6 +44,11 @@ class SkyscraperPolicy:
         planned_interval_seconds: how often the knob planner re-plans
             (default 2 days, Appendix I).
         forecast_input_seconds: look-back window the forecaster receives.
+        initial_plan: the plan of ``initial_forecast`` under the budget, when
+            the caller already solved it (:meth:`Skyscraper.build_policy
+            <repro.core.skyscraper.Skyscraper.build_policy>` shares one
+            read-only plan across the policies of a run context); ``None``
+            solves it here.
     """
 
     name = "skyscraper"
@@ -61,6 +66,7 @@ class SkyscraperPolicy:
         switch_period_seconds: float = 4.0,
         planned_interval_seconds: float = 2 * 86_400.0,
         forecast_input_seconds: float = 2 * 86_400.0,
+        initial_plan: Optional[KnobPlan] = None,
     ):
         if switch_period_seconds <= 0:
             raise ConfigurationError("switch_period_seconds must be positive")
@@ -76,12 +82,13 @@ class SkyscraperPolicy:
         self.planned_interval_seconds = planned_interval_seconds
         self.forecast_input_seconds = forecast_input_seconds
 
-        initial = np.asarray(initial_forecast, dtype=float)
-        plan = planner.plan(initial, budget_core_seconds_per_segment)
+        if initial_plan is None:
+            initial = np.asarray(initial_forecast, dtype=float)
+            initial_plan = planner.plan(initial, budget_core_seconds_per_segment)
         self.switcher = KnobSwitcher(
             profiles=profiles,
             categorizer=categorizer,
-            plan=plan,
+            plan=initial_plan,
             segment_duration=segment_duration,
             buffer_capacity_bytes=buffer_capacity_bytes,
         )

@@ -1,4 +1,4 @@
-"""Frozen pre-vectorization reference implementations (parity oracles).
+"""Frozen reference implementations (parity oracles).
 
 The columnar hot path (:mod:`repro.core.columnar`, the vectorized
 :meth:`~repro.video.content.ContentModel.states_at`, and the index-based
@@ -27,6 +27,13 @@ The built-in schedulers' scanning ``select`` rules are frozen here as well
 with them rather than with the live schedulers, so a change to a live rule
 (lag-aware's incremental fill heap, say) is checked against the scan.
 
+So is the knob switcher (:class:`FrozenKnobSwitcher`): Equations 5 and 6 in
+numpy and the nested scan over every placement, dominated ones included.
+The live switcher scans only the non-dominated placements, as lists.
+:func:`frozen_twin` builds it over a live switcher's inputs, and
+:func:`use_frozen_switcher` gives a built policy that twin, so the reference
+side of a fleet comparison decides with it.
+
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
 change of the engine.
@@ -42,8 +49,13 @@ from typing import Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.profiler import PlacementProfile
 from repro.cluster.resources import CloudSpec, ClusterSpec
+from repro.core.categorizer import ContentCategorizer
 from repro.core.engine import DecisionContext, IngestionResult, SegmentTrace
+from repro.core.planner import KnobPlan
+from repro.core.profiles import ProfileSet
+from repro.core.switcher import SwitchDecision
 from repro.errors import ConfigurationError
 from repro.video.content import (
     SECONDS_PER_DAY,
@@ -471,6 +483,168 @@ def frozen_scheduler_rule(name: str):
             f"no frozen rule for scheduler {name!r}; frozen: {sorted(_FROZEN_RULES)}"
         )
     return _FROZEN_RULES[name]()
+
+
+# --------------------------------------------------------------------- #
+# The frozen knob switcher
+# --------------------------------------------------------------------- #
+class FrozenKnobSwitcher:
+    """Verbatim copy of the pre-pruning ``KnobSwitcher``.
+
+    Equations 5 and 6 run in numpy (``classify_partial``, the deficit
+    ``argmax``), and the feasibility scan walks every placement of every
+    fallback configuration (``_select_feasible``), dominated ones included.
+    It has the live switcher's interface: ``decide``, ``update_plan``,
+    ``realized_histogram``, ``category_history`` and an assignable
+    ``categorizer``.
+    """
+
+    def __init__(
+        self,
+        profiles: ProfileSet,
+        categorizer: ContentCategorizer,
+        plan: KnobPlan,
+        segment_duration: float,
+        buffer_capacity_bytes: int,
+        safety_margin: float = 0.98,
+    ):
+        self.profiles = profiles
+        self.categorizer = categorizer
+        self.plan = plan
+        self.segment_duration = segment_duration
+        self.buffer_capacity_bytes = buffer_capacity_bytes
+        self.safety_margin = safety_margin
+
+        n_configurations = len(profiles)
+        n_categories = categorizer.actual_categories
+        self._usage_counts = np.zeros((n_categories, n_configurations))
+        self.category_history: List[Tuple[float, int]] = []
+        self._quality_order = [
+            profiles.index_of(profile.configuration)
+            for profile in profiles.by_quality_descending()
+        ]
+
+    def update_plan(self, plan: KnobPlan) -> None:
+        self.plan = plan
+
+    def realized_histogram(self, category: int) -> np.ndarray:
+        counts = self._usage_counts[category]
+        total = counts.sum()
+        if total <= 0:
+            return np.zeros_like(counts)
+        return counts / total
+
+    def decide(
+        self,
+        observed_quality: float,
+        current_configuration_index: int,
+        backlog_bytes: int,
+        bytes_per_second: float,
+        cloud_budget_remaining: float,
+        timestamp: float,
+    ) -> SwitchDecision:
+        n_configurations = len(self.profiles)
+        if not 0 <= current_configuration_index < n_configurations:
+            raise ConfigurationError("current_configuration_index out of range")
+
+        category = self.categorizer.classify_partial(
+            current_configuration_index, observed_quality
+        )
+        self.category_history.append((timestamp, category))
+
+        planned_histogram = self.plan.histogram(category)
+
+        realized = self.realized_histogram(category)
+        deficits = planned_histogram - realized
+        planned_choice = int(np.argmax(deficits))
+
+        choice, placement, fell_back = self._select_feasible(
+            planned_choice, backlog_bytes, bytes_per_second, cloud_budget_remaining
+        )
+
+        self._usage_counts[category, choice] += 1.0
+        return SwitchDecision(
+            configuration_index=choice,
+            profile=self.profiles[choice],
+            placement=placement,
+            category=category,
+            fell_back=fell_back,
+            planned_configuration_index=planned_choice,
+        )
+
+    def _select_feasible(
+        self,
+        planned_choice: int,
+        backlog_bytes: int,
+        bytes_per_second: float,
+        cloud_budget_remaining: float,
+    ) -> Tuple[int, PlacementProfile, bool]:
+        candidates = self._fallback_order(planned_choice)
+        last_resort: Optional[Tuple[int, PlacementProfile]] = None
+        for candidate in candidates:
+            profile = self.profiles[candidate]
+            for placement in profile.placements_by_cloud_cost():
+                if placement.cloud_dollars > cloud_budget_remaining + 1e-12:
+                    continue
+                if self._fits_buffer(placement, backlog_bytes, bytes_per_second):
+                    return candidate, placement, candidate != planned_choice
+                if last_resort is None or (
+                    placement.runtime_seconds < last_resort[1].runtime_seconds
+                ):
+                    last_resort = (candidate, placement)
+        # No placement of any configuration avoids the overflow; return the
+        # fastest placement seen so the engine can at least minimize the lag.
+        if last_resort is None:
+            profile = self.profiles[planned_choice]
+            return planned_choice, profile.on_prem_placement, False
+        return last_resort[0], last_resort[1], True
+
+    def _fallback_order(self, planned_choice: int) -> List[int]:
+        """The planned configuration followed by ever less qualitative ones."""
+        if planned_choice not in self._quality_order:
+            return list(range(len(self.profiles)))
+        start = self._quality_order.index(planned_choice)
+        return self._quality_order[start:] + []
+
+    def _fits_buffer(
+        self, placement: PlacementProfile, backlog_bytes: int, bytes_per_second: float
+    ) -> bool:
+        """Predict whether processing with ``placement`` avoids an overflow.
+
+        While the placement runs for ``runtime`` seconds, the source keeps
+        producing video; the backlog grows by the video produced in excess of
+        the chunk being consumed.  One extra segment of headroom is reserved
+        for the video that arrives before the next switching decision.
+        """
+        runtime = placement.runtime_seconds
+        rate = max(bytes_per_second, 0.0)
+        growth = max(runtime - self.segment_duration, 0.0) * rate
+        headroom = self.segment_duration * rate
+        predicted = backlog_bytes + growth + headroom
+        return predicted <= self.buffer_capacity_bytes * self.safety_margin
+
+
+def frozen_twin(switcher) -> FrozenKnobSwitcher:
+    """A :class:`FrozenKnobSwitcher` over a live switcher's inputs: its
+    profiles, categorizer, plan, segment length, buffer and safety margin."""
+    return FrozenKnobSwitcher(
+        profiles=switcher.profiles,
+        categorizer=switcher.categorizer,
+        plan=switcher.plan,
+        segment_duration=switcher.segment_duration,
+        buffer_capacity_bytes=switcher.buffer_capacity_bytes,
+        safety_margin=switcher.safety_margin,
+    )
+
+
+def use_frozen_switcher(policy):
+    """Give a built ``SkyscraperPolicy`` the :func:`frozen_twin` of its
+    switcher.  Swap it in before the policy decides anything; returns
+    ``policy``."""
+    if policy.switcher.category_history:
+        raise ConfigurationError("swap in the frozen switcher before the policy decides")
+    policy.switcher = frozen_twin(policy.switcher)
+    return policy
 
 
 def reference_fleet_run(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.core.offline import (
     label_quality_series,
     profile_configurations,
 )
-from repro.core.planner import KnobPlanner
+from repro.core.planner import KnobPlan, KnobPlanner
 from repro.core.policy import SkyscraperPolicy
 from repro.core.profiles import ProfileSet
 from repro.video.stream import SyntheticVideoSource
@@ -156,6 +156,8 @@ class Skyscraper:
         self.fit_params: Optional[OfflineFitParams] = None
         self.fit_source: Optional[SyntheticVideoSource] = None
         self.fit_stage_cache_dir: Optional[Path] = None
+        # The last initial plan build_policy solved, with its LP inputs.
+        self._initial_plan_memo: Optional[Tuple[tuple, KnobPlan]] = None
 
     # ------------------------------------------------------------------ #
     # Offline phase (Section 3)
@@ -357,6 +359,7 @@ class Skyscraper:
             initial_forecast = np.full(
                 self.categorizer.actual_categories, 1.0 / self.categorizer.actual_categories
             )
+        budget = self.budget_core_seconds_per_segment(segment_seconds)
         cls = policy_class or SkyscraperPolicy
         return cls(
             **policy_extras,
@@ -364,13 +367,45 @@ class Skyscraper:
             categorizer=self.categorizer,
             planner=planner,
             initial_forecast=initial_forecast,
-            budget_core_seconds_per_segment=self.budget_core_seconds_per_segment(segment_seconds),
+            budget_core_seconds_per_segment=budget,
             segment_duration=segment_seconds,
             buffer_capacity_bytes=self.resources.buffer_bytes,
             forecaster=self.forecaster,
             switch_period_seconds=self.switch_period_seconds,
             planned_interval_seconds=self.planned_interval_seconds,
+            initial_plan=self._initial_plan(planner, initial_forecast, budget),
         )
+
+    def _initial_plan(
+        self, planner: KnobPlanner, initial_forecast, budget: float
+    ) -> KnobPlan:
+        """The plan of the initial forecast, solved once per distinct LP input.
+
+        Every stream of a run context builds its policy from the same
+        forecast, budget and profiles, so they share one plan, made
+        read-only.  The memo key is the LP's exact inputs: the raw forecast,
+        the budget, the per-category quality matrix and each configuration's
+        work.  When the adaptive policy rewrites the category qualities, the
+        key changes and the next policy gets a fresh solve.
+        """
+        forecast = np.asarray(initial_forecast, dtype=float)
+        qualities = self.profiles.quality_matrix(planner.n_categories)
+        key = (
+            forecast.shape,
+            forecast.tobytes(),
+            budget,
+            qualities.shape,
+            qualities.tobytes(),
+            tuple(profile.work_core_seconds for profile in self.profiles),
+        )
+        memo = self._initial_plan_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        plan = planner.plan(forecast, budget, quality_matrix=qualities)
+        for array in (*plan.assignments.values(), plan.forecast):
+            array.flags.writeable = False
+        self._initial_plan_memo = (key, plan)
+        return plan
 
     def ingest(
         self,

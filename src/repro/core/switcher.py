@@ -7,12 +7,21 @@ realized usage histogram closest to the planned one (Equation 6), and chooses
 the cheapest task placement that does not overflow the buffer.  If no
 placement of the chosen configuration can avoid an overflow, the switcher
 recursively falls back to the next less qualitative configuration.
+
+A decision reads a handful of numbers per step, so :meth:`KnobSwitcher.decide`
+works on plain Python lists: the plan's histograms, the usage counts, each
+configuration's column of category centers, and the non-dominated placements
+of :class:`~repro.core.columnar.PlacementTable`.  It performs the same IEEE
+operations in the same order as the numpy formulation and breaks ties toward
+the lowest index like ``np.argmin``/``np.argmax``.  The numpy formulation with
+the full nested placement scan is frozen in :mod:`repro.core.reference`
+(:class:`~repro.core.reference.FrozenKnobSwitcher`) as the parity oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,7 +62,8 @@ class KnobSwitcher:
 
     Args:
         profiles: the filtered, profiled knob configurations.
-        categorizer: fitted content categorizer.
+        categorizer: fitted content categorizer (reassignable: the adaptive
+            policy installs a re-fitted one).
         plan: the current knob plan (replaced by :meth:`update_plan` when the
             planner re-runs).
         segment_duration: length of the video chunk one decision covers, in
@@ -87,8 +97,11 @@ class KnobSwitcher:
 
         n_configurations = len(profiles)
         n_categories = categorizer.actual_categories
-        # Realized usage counts per category (the paper's alpha-hat).
-        self._usage_counts = np.zeros((n_categories, n_configurations))
+        # Realized usage counts per category (the paper's alpha-hat) and
+        # their per-category sums.  The counts are whole numbers, so the
+        # running sums are exact.
+        self._usage_counts = [[0.0] * n_configurations for _ in range(n_categories)]
+        self._usage_totals = [0.0] * n_categories
         #: category label history as (timestamp, category) pairs, consumed by
         #: the planner's forecaster.
         self.category_history: List[Tuple[float, int]] = []
@@ -97,9 +110,6 @@ class KnobSwitcher:
             profiles.index_of(profile.configuration)
             for profile in profiles.by_quality_descending()
         ]
-        # The feasibility scan flattened into columns (the hot path of
-        # ``decide``); ``_select_feasible`` remains as the scalar reference
-        # the table is pinned against in tests.
         self._placement_table = PlacementTable(
             profiles,
             self._quality_order,
@@ -107,23 +117,38 @@ class KnobSwitcher:
             buffer_capacity_bytes,
             safety_margin,
         )
-        #: when ``False``, ``decide`` routes through the scalar
-        #: ``_select_feasible`` scan instead of the columnar table — the
-        #: pre-vectorization behaviour, kept switchable so the parity oracle
-        #: and ``benchmarks/bench_hotpath.py`` can run the frozen loop
-        #: against the columnar one on identical inputs.
-        self.use_columnar = True
 
     # ------------------------------------------------------------------ #
-    # Plan management
+    # Plan and categorizer
     # ------------------------------------------------------------------ #
+    @property
+    def plan(self) -> KnobPlan:
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: KnobPlan) -> None:
+        self._plan = plan
+        self._plan_rows = {
+            category: histogram.tolist() for category, histogram in plan.assignments.items()
+        }
+
+    @property
+    def categorizer(self) -> ContentCategorizer:
+        return self._categorizer
+
+    @categorizer.setter
+    def categorizer(self, categorizer: ContentCategorizer) -> None:
+        self._categorizer = categorizer
+        #: each configuration's column of category centers (Equation 5).
+        self._center_columns = categorizer.centers.T.tolist()
+
     def update_plan(self, plan: KnobPlan) -> None:
         """Install a freshly computed knob plan (every planned interval)."""
         self.plan = plan
 
     def realized_histogram(self, category: int) -> np.ndarray:
         """Observed configuration usage for a category, normalized."""
-        counts = self._usage_counts[category]
+        counts = np.array(self._usage_counts[category])
         total = counts.sum()
         if total <= 0:
             return np.zeros_like(counts)
@@ -154,38 +179,43 @@ class KnobSwitcher:
             timestamp: current stream time (seconds), recorded with the
                 category label for the forecaster.
         """
-        n_configurations = len(self.profiles)
-        if not 0 <= current_configuration_index < n_configurations:
+        if not 0 <= current_configuration_index < len(self.profiles):
             raise ConfigurationError("current_configuration_index out of range")
 
-        # Step 1: classify the current content from a single quality value.
-        category = self.categorizer.classify_partial(
-            current_configuration_index, observed_quality
-        )
+        # Step 1: classify the current content from a single quality value:
+        # the nearest category center in the observed configuration's column.
+        distances = [
+            abs(center - observed_quality)
+            for center in self._center_columns[current_configuration_index]
+        ]
+        category = distances.index(min(distances))
         self.category_history.append((timestamp, category))
 
         # Step 2: look the category up in the knob plan.
-        planned_histogram = self.plan.histogram(category)
+        planned_histogram = self._plan_rows.get(category)
+        if planned_histogram is None:
+            raise ConfigurationError(f"plan has no category {category}")
 
-        # Step 3a: pick the configuration that keeps usage closest to the plan.
-        realized = self.realized_histogram(category)
-        deficits = planned_histogram - realized
-        planned_choice = int(np.argmax(deficits))
+        # Step 3a: pick the configuration that keeps usage closest to the
+        # plan (the largest deficit, first index on ties).
+        counts = self._usage_counts[category]
+        total = self._usage_totals[category]
+        if total > 0:
+            deficits = [
+                planned - count / total for planned, count in zip(planned_histogram, counts)
+            ]
+        else:
+            deficits = planned_histogram
+        planned_choice = deficits.index(max(deficits))
 
         # Step 3b: cheapest placement that does not overflow the buffer; fall
-        # back to less qualitative configurations if necessary.  The columnar
-        # table evaluates the same scan as ``_select_feasible`` in one masked
-        # reduction.
-        if self.use_columnar:
-            choice, placement, fell_back = self._placement_table.select(
-                planned_choice, backlog_bytes, bytes_per_second, cloud_budget_remaining
-            )
-        else:
-            choice, placement, fell_back = self._select_feasible(
-                planned_choice, backlog_bytes, bytes_per_second, cloud_budget_remaining
-            )
+        # back to less qualitative configurations if necessary.
+        choice, placement, fell_back = self._placement_table.select(
+            planned_choice, backlog_bytes, bytes_per_second, cloud_budget_remaining
+        )
 
-        self._usage_counts[category, choice] += 1.0
+        counts[choice] += 1.0
+        self._usage_totals[category] = total + 1.0
         return SwitchDecision(
             configuration_index=choice,
             profile=self.profiles[choice],
@@ -194,57 +224,3 @@ class KnobSwitcher:
             fell_back=fell_back,
             planned_configuration_index=planned_choice,
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _select_feasible(
-        self,
-        planned_choice: int,
-        backlog_bytes: int,
-        bytes_per_second: float,
-        cloud_budget_remaining: float,
-    ) -> Tuple[int, PlacementProfile, bool]:
-        candidates = self._fallback_order(planned_choice)
-        last_resort: Optional[Tuple[int, PlacementProfile]] = None
-        for candidate in candidates:
-            profile = self.profiles[candidate]
-            for placement in profile.placements_by_cloud_cost():
-                if placement.cloud_dollars > cloud_budget_remaining + 1e-12:
-                    continue
-                if self._fits_buffer(placement, backlog_bytes, bytes_per_second):
-                    return candidate, placement, candidate != planned_choice
-                if last_resort is None or (
-                    placement.runtime_seconds < last_resort[1].runtime_seconds
-                ):
-                    last_resort = (candidate, placement)
-        # No placement of any configuration avoids the overflow; return the
-        # fastest placement seen so the engine can at least minimize the lag.
-        if last_resort is None:
-            profile = self.profiles[planned_choice]
-            return planned_choice, profile.on_prem_placement, False
-        return last_resort[0], last_resort[1], True
-
-    def _fallback_order(self, planned_choice: int) -> List[int]:
-        """The planned configuration followed by ever less qualitative ones."""
-        if planned_choice not in self._quality_order:
-            return list(range(len(self.profiles)))
-        start = self._quality_order.index(planned_choice)
-        return self._quality_order[start:] + []
-
-    def _fits_buffer(
-        self, placement: PlacementProfile, backlog_bytes: int, bytes_per_second: float
-    ) -> bool:
-        """Predict whether processing with ``placement`` avoids an overflow.
-
-        While the placement runs for ``runtime`` seconds, the source keeps
-        producing video; the backlog grows by the video produced in excess of
-        the chunk being consumed.  One extra segment of headroom is reserved
-        for the video that arrives before the next switching decision.
-        """
-        runtime = placement.runtime_seconds
-        rate = max(bytes_per_second, 0.0)
-        growth = max(runtime - self.segment_duration, 0.0) * rate
-        headroom = self.segment_duration * rate
-        predicted = backlog_bytes + growth + headroom
-        return predicted <= self.buffer_capacity_bytes * self.safety_margin

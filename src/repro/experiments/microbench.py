@@ -143,8 +143,11 @@ def switcher_overhead_seconds(
 ) -> float:
     """Average runtime of one knob-switcher decision (left plot of Figure 13).
 
-    ``worst_case`` forces the switcher to walk every configuration-placement
-    pair by making the buffer too small for any placement.
+    The synthetic placements of a configuration get faster as they get
+    costlier, so none is dominated and the switcher's pruned table keeps all
+    ``total_placements`` of them.  ``worst_case`` makes the buffer too small
+    for any placement, so the switcher walks every configuration and falls
+    back to the fastest placement within budget.
     """
     placements_per_config = max(total_placements // n_configurations, 1)
     profiles = _synthetic_profiles(n_configurations, placements_per_config)

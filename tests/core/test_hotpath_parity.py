@@ -1,17 +1,22 @@
-"""Parity oracle for the columnar hot path (the vectorization refactor).
+"""Parity oracle for the columnar hot path and the pruned switcher scan.
 
-Pins every vectorized layer against the frozen pre-vectorization loop in
+Pins every vectorized or pruned layer against the frozen implementations in
 :mod:`repro.core.reference`:
 
 * **bit-for-bit** wherever only the loop structure changed — the scalar
   object APIs (``state_at``, ``segment_at``, ``quality_weight``) against
-  their batched twins, the switcher's columnar ``PlacementTable.select``
-  against the scalar ``_select_feasible`` scan, and the fleet engine
-  against ``reference_fleet_run`` when both read the same segment columns;
+  their batched twins, the switcher's pruned ``PlacementTable.select``
+  against the frozen full ``_select_feasible`` scan, the live ``decide``
+  against :class:`~repro.core.reference.FrozenKnobSwitcher`, and the fleet
+  engine against ``reference_fleet_run`` when both read the same segment
+  columns (the reference side runs the frozen switcher);
 * **documented fp tolerance** (~1 ulp per content state, ``PARITY_RTOL``
   after aggregation) where ``np.exp``/``np.power`` replaced ``math``
   transcendentals — the full scalar reference including ``scalar_segments``
-  and the scalar switcher scan (``use_columnar=False``).
+  and the frozen switcher.
+
+``tests/core/test_switcher_pruning.py`` adds a seeded differential test of
+the live switcher against the frozen one over tie-heavy random profiles.
 """
 
 import numpy as np
@@ -27,9 +32,11 @@ from repro.core.knobs import KnobConfiguration
 from repro.core.planner import KnobPlanner
 from repro.core.profiles import ConfigurationProfile, ProfileSet
 from repro.core.reference import (
+    frozen_twin,
     reference_fleet_run,
     scalar_segments,
     scalar_state_at,
+    use_frozen_switcher,
 )
 from repro.core.switcher import KnobSwitcher
 from repro.workloads.base import WorkloadSetup
@@ -171,7 +178,7 @@ def test_session_columns_mirror_scalar_session_inputs(ev_workload, small_source)
 
 
 # --------------------------------------------------------------------- #
-# Switcher: columnar table vs the scalar feasibility scan
+# Switcher: pruned table and live decide vs the frozen switcher
 # --------------------------------------------------------------------- #
 def _placement(runtime, cloud_dollars=0.0):
     return PlacementProfile(
@@ -231,22 +238,22 @@ def switcher():
 def test_placement_table_matches_scalar_scan_exhaustively(switcher):
     """Every (planned, backlog, rate, budget) cell: identical decisions."""
     table = switcher._placement_table
+    frozen = frozen_twin(switcher)
     capacity = switcher.buffer_capacity_bytes
     for planned in range(len(switcher.profiles)):
         for backlog in (0, capacity // 2, capacity - 1, capacity):
             for rate in (0.0, 250_000.0, 2_000_000.0):
                 for budget in (-1.0, 0.0, 0.0005, 0.001, 10.0):
-                    expected = switcher._select_feasible(planned, backlog, rate, budget)
+                    expected = frozen._select_feasible(planned, backlog, rate, budget)
                     actual = table.select(planned, backlog, rate, budget)
                     assert actual[0] == expected[0], (planned, backlog, rate, budget)
                     assert actual[1] is expected[1], (planned, backlog, rate, budget)
                     assert actual[2] == expected[2], (planned, backlog, rate, budget)
 
 
-def test_switcher_decide_scalar_mode_matches_columnar(switcher):
-    """Full ``decide`` twice over one decision stream, one per mode."""
-    scalar = _make_switcher(switcher.profiles)
-    scalar.use_columnar = False
+def test_switcher_decide_matches_frozen_switcher(switcher):
+    """Full ``decide`` over one decision stream, live and frozen."""
+    frozen = frozen_twin(switcher)
     for step in range(120):
         inputs = dict(
             observed_quality=(0.95, 0.5, 0.7)[step % 3],
@@ -257,22 +264,30 @@ def test_switcher_decide_scalar_mode_matches_columnar(switcher):
             timestamp=2.0 * step,
         )
         ours = switcher.decide(**inputs)
-        theirs = scalar.decide(**inputs)
-        assert (ours.configuration_index, ours.category, ours.fell_back) == (
+        theirs = frozen.decide(**inputs)
+        assert (
+            ours.configuration_index,
+            ours.planned_configuration_index,
+            ours.category,
+            ours.fell_back,
+        ) == (
             theirs.configuration_index,
+            theirs.planned_configuration_index,
             theirs.category,
             theirs.fell_back,
         )
-        assert ours.placement == theirs.placement
+        assert ours.placement is theirs.placement
+    assert switcher.category_history == frozen.category_history
 
 
 def test_empty_feasible_set_falls_back_to_planned_on_prem(switcher):
-    """A negative remaining budget excludes even free placements (the scalar
-    scan's epsilon comparison), leaving no candidates: both paths return the
+    """A negative remaining budget excludes even free placements (the scan's
+    epsilon comparison), leaving no candidates: both paths return the
     planned configuration's on-prem placement without flagging a fallback."""
     table = switcher._placement_table
+    frozen = frozen_twin(switcher)
     for planned in range(len(switcher.profiles)):
-        expected = switcher._select_feasible(planned, 0, 1e6, -1.0)
+        expected = frozen._select_feasible(planned, 0, 1e6, -1.0)
         actual = table.select(planned, 0, 1e6, -1.0)
         assert expected == (
             planned,
@@ -295,10 +310,11 @@ def test_zero_runtime_placement_always_fits():
     )
     switcher = _make_switcher(profiles, buffer_bytes=1_000_000, safety_margin=1.0)
     table = switcher._placement_table
+    frozen = frozen_twin(switcher)
     # Headroom fits: the zero-runtime placement is feasible even when the
     # slow configuration is planned (fallback walks down the quality order).
     for planned in range(2):
-        expected = switcher._select_feasible(planned, 500_000, 100_000.0, 10.0)
+        expected = frozen._select_feasible(planned, 500_000, 100_000.0, 10.0)
         actual = table.select(planned, 500_000, 100_000.0, 10.0)
         assert actual[0] == expected[0]
         assert actual[1] is expected[1]
@@ -306,7 +322,7 @@ def test_zero_runtime_placement_always_fits():
         assert expected[1].runtime_seconds == 0.0 or planned == 0
     # Nothing fits (headroom alone overflows): the zero-runtime placement is
     # the first strict minimum of the last-resort scan in both paths.
-    expected = switcher._select_feasible(1, 1_000_000, 10_000_000.0, 10.0)
+    expected = frozen._select_feasible(1, 1_000_000, 10_000_000.0, 10.0)
     actual = table.select(1, 1_000_000, 10_000_000.0, 10.0)
     assert expected[1].runtime_seconds == 0.0 and expected[2]
     assert actual[0] == expected[0]
@@ -316,16 +332,17 @@ def test_zero_runtime_placement_always_fits():
 
 def test_exactly_full_buffer_boundary():
     """``predicted == capacity * safety_margin`` fits (<=); one more byte
-    does not — in both the scalar predicate and the columnar mask."""
+    does not — in both the frozen predicate and the table's scan."""
     profiles = ProfileSet([_profile("only", [2.0], quality=0.9)])
     switcher = _make_switcher(profiles, buffer_bytes=10_000, safety_margin=1.0)
     table = switcher._placement_table
+    frozen = frozen_twin(switcher)
     rate = 1_000.0  # headroom = segment_duration * rate = 2_000 bytes
     placement = profiles[0].placements[0]
-    assert switcher._fits_buffer(placement, 8_000, rate)
-    assert not switcher._fits_buffer(placement, 8_001, rate)
+    assert frozen._fits_buffer(placement, 8_000, rate)
+    assert not frozen._fits_buffer(placement, 8_001, rate)
     for backlog, fell_back in ((8_000, False), (8_001, True)):
-        expected = switcher._select_feasible(0, backlog, rate, 10.0)
+        expected = frozen._select_feasible(0, backlog, rate, 10.0)
         actual = table.select(0, backlog, rate, 10.0)
         assert expected[2] == fell_back
         assert actual[0] == expected[0]
@@ -334,16 +351,22 @@ def test_exactly_full_buffer_boundary():
 
 
 def test_fallback_order_edges(switcher):
-    """The planned configuration heads its quality-order suffix; a planned
-    index missing from the order degrades to the canonical range."""
-    order = switcher._quality_order
+    """The planned configuration heads its quality-order suffix, and the
+    table's walk from the planned configuration's block visits the blocks
+    of exactly that suffix; a planned index missing from the frozen order
+    degrades to the canonical range."""
+    table = switcher._placement_table
+    frozen = frozen_twin(switcher)
+    order = frozen._quality_order
+    assert order == switcher._quality_order
     for planned in range(len(switcher.profiles)):
-        fallback = switcher._fallback_order(planned)
+        fallback = frozen._fallback_order(planned)
         assert fallback[0] == planned
         assert fallback == order[order.index(planned):]
-    switcher._quality_order = [entry for entry in order if entry != 0]
-    assert switcher._fallback_order(0) == list(range(len(switcher.profiles)))
-    switcher._quality_order = order
+        walked = table.blocks[table.block_of[planned]:]
+        assert [block[0] for block in walked] == fallback
+    frozen._quality_order = [entry for entry in order if entry != 0]
+    assert frozen._fallback_order(0) == list(range(len(switcher.profiles)))
 
 
 # --------------------------------------------------------------------- #
@@ -354,7 +377,7 @@ def _fleet_streams(
     workload,
     source,
     n_streams,
-    columnar=True,
+    frozen=False,
     buffer_capacity_bytes=200_000_000,
     phase_shift_seconds=1_800.0,
 ):
@@ -370,7 +393,8 @@ def _fleet_streams(
     for index, spec in enumerate(scenario.streams):
         if index % 2 == 0:
             policy = sky.build_policy(source.segment_seconds)
-            policy.switcher.use_columnar = columnar
+            if frozen:
+                use_frozen_switcher(policy)
         else:
             policy = StaticPolicy(profiles, static_profile)
         streams.append(
@@ -403,9 +427,10 @@ def _fleet_streams(
 def test_fleet_run_matches_reference_loop_bitwise(
     scheduler, fleet, fitted_skyscraper, covid_workload, covid_source
 ):
-    """Same segment columns on both sides: only the loop structure and the
-    scheduler's index differ, so every stream's result (traces included)
-    must be bit-for-bit equal to the frozen loop and its frozen scan."""
+    """Same segment columns on both sides: only the loop structure, the
+    scheduler's index and the switcher differ, so every stream's result
+    (traces included) must be bit-for-bit equal to the frozen loop with its
+    frozen scheduler scan and frozen switcher."""
     cluster = ClusterSpec(cores=8)
     cloud = CloudSpec(daily_budget_dollars=2.0)
     engine = FleetEngine(cluster=cluster, cloud=cloud, scheduler=scheduler, keep_traces=True)
@@ -417,7 +442,7 @@ def test_fleet_run_matches_reference_loop_bitwise(
     if fleet.get("buffer_capacity_bytes"):
         assert actual.segments_dropped > 0
     expected = reference_fleet_run(
-        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, **fleet),
+        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, frozen=True, **fleet),
         ONLINE_START,
         ONLINE_END,
         cluster,
@@ -435,7 +460,7 @@ def test_fleet_run_matches_full_scalar_reference_within_tolerance(
     fitted_skyscraper, covid_workload, covid_source
 ):
     """Against the complete pre-vectorization hot path — scalar segment
-    generation plus scalar switcher scans — integer telemetry is exact and
+    generation plus the frozen switcher — integer telemetry is exact and
     float aggregates agree within the documented fp tolerance."""
     cluster = ClusterSpec(cores=8)
     cloud = CloudSpec(daily_budget_dollars=2.0)
@@ -446,7 +471,7 @@ def test_fleet_run_matches_full_scalar_reference_within_tolerance(
         ONLINE_END,
     )
     expected = reference_fleet_run(
-        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, 3, columnar=False),
+        _fleet_streams(fitted_skyscraper, covid_workload, covid_source, 3, frozen=True),
         ONLINE_START,
         ONLINE_END,
         cluster,

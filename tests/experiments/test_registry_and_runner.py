@@ -387,3 +387,73 @@ def test_run_fleet_replay_systems_solve_once_and_replay_per_stream(small_bundle)
     )
     for stream_result in fleet.results:
         assert stream_result.configuration_usage == single.configuration_usage
+
+
+def test_run_fleet_solves_each_context_initial_plan_once(small_bundle, monkeypatch):
+    """Every skyscraper stream of a context shares one read-only initial
+    plan; a change to the LP inputs gets a fresh solve, and the planner
+    itself still solves on every call (Figure 13 times its repetitions)."""
+    import numpy as np
+
+    import repro.experiments.runner as runner_module
+    from repro.core.planner import KnobPlanner
+    from repro.experiments.microbench import planner_overhead_seconds
+    from repro.ml.linear_program import LinearProgram
+
+    solves = []
+    live_plan = KnobPlanner.plan
+
+    def counting_plan(self, *args, **kwargs):
+        solves.append(args)
+        return live_plan(self, *args, **kwargs)
+
+    lp_solves = []
+    live_solve = LinearProgram.solve
+
+    def counting_solve(self, *args, **kwargs):
+        lp_solves.append(self)
+        return live_solve(self, *args, **kwargs)
+
+    built = []
+    live_create = runner_module.create_policy
+
+    def recording_create(name, context, **options):
+        policy = live_create(name, context, **options)
+        built.append((context, policy))
+        return policy
+
+    monkeypatch.setattr(KnobPlanner, "plan", counting_plan)
+    monkeypatch.setattr(LinearProgram, "solve", counting_solve)
+    monkeypatch.setattr(runner_module, "create_policy", recording_create)
+    ExperimentRunner(small_bundle).run_fleet("skyscraper", n_streams=4, cores=4)
+
+    assert len(solves) == len(lp_solves) == 1
+    assert len(built) == 4
+    shared = built[0][1].switcher.plan
+    for _, policy in built:
+        assert policy.switcher.plan is shared
+    for array in (*shared.assignments.values(), shared.forecast):
+        assert not array.flags.writeable
+
+    context = built[0][0]
+    skyscraper = context.skyscraper
+    profiles = skyscraper.profiles
+    n_categories = skyscraper.categorizer.actual_categories
+    moved = profiles.quality_matrix(n_categories)[:, ::-1].copy()
+    profiles.set_category_qualities(moved)
+    rebuilt = live_create("skyscraper", context).switcher.plan
+    assert len(solves) == 2
+    assert rebuilt is not shared
+    fresh = KnobPlanner(profiles, n_categories).plan(
+        np.asarray(skyscraper.report.initial_forecast, dtype=float),
+        skyscraper.budget_core_seconds_per_segment(context.segment_seconds),
+    )
+    assert sorted(rebuilt.assignments) == sorted(fresh.assignments)
+    for category, histogram in fresh.assignments.items():
+        assert np.array_equal(rebuilt.assignments[category], histogram)
+    assert rebuilt.expected_quality == fresh.expected_quality
+    assert rebuilt.expected_cost == fresh.expected_cost
+
+    lp_solves.clear()
+    planner_overhead_seconds(n_categories=3, n_configurations=3, repetitions=3)
+    assert len(lp_solves) == 3
