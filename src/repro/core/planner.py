@@ -53,6 +53,32 @@ class KnobPlan:
         return int(np.argmax(self.histogram(category)))
 
 
+@dataclass(frozen=True)
+class PlanInputs:
+    """Everything the Equations 2-4 LP reads, validated and normalized.
+
+    :meth:`KnobPlanner.plan` solves from these fields and nothing else, so
+    two calls whose :attr:`key` is equal solve the same LP.
+
+    Attributes:
+        ratios: the forecast ``r_c``, normalized to sum to one.
+        quality_matrix: the ``(|K|, |C|)`` per-category qualities.
+        costs: each configuration's work (on-premise core-seconds).
+        budget: the per-segment budget (core-seconds).
+    """
+
+    ratios: np.ndarray
+    quality_matrix: np.ndarray
+    costs: np.ndarray
+    budget: float
+
+    @property
+    def key(self) -> tuple:
+        """The inputs as exact, hashable bytes (shapes included)."""
+        arrays = (self.ratios, self.quality_matrix, self.costs)
+        return tuple((array.shape, array.tobytes()) for array in arrays) + (self.budget,)
+
+
 class KnobPlanner:
     """Solves the Equations 2-4 linear program.
 
@@ -90,6 +116,85 @@ class KnobPlanner:
             PlanningError: if even the cheapest configuration exceeds the
                 budget (no feasible plan exists).
         """
+        inputs = self.plan_inputs(forecast, budget_core_seconds_per_segment, quality_matrix)
+        ratios = inputs.ratios
+        quality_matrix = inputs.quality_matrix
+        costs = inputs.costs
+        n_configurations, n_categories = quality_matrix.shape
+
+        lp = LinearProgram()
+        for config_index in range(n_configurations):
+            for category in range(n_categories):
+                lp.add_variable(
+                    ("alpha", config_index, category),
+                    objective=ratios[category] * quality_matrix[config_index, category],
+                    lower=0.0,
+                    upper=1.0,
+                )
+        # Budget constraint (Equation 3).
+        lp.add_constraint_le(
+            {
+                ("alpha", config_index, category): ratios[category] * costs[config_index]
+                for config_index in range(n_configurations)
+                for category in range(n_categories)
+            },
+            inputs.budget,
+        )
+        # Normalization constraints (Equation 4).
+        for category in range(n_categories):
+            lp.add_constraint_eq(
+                {
+                    ("alpha", config_index, category): 1.0
+                    for config_index in range(n_configurations)
+                },
+                1.0,
+            )
+
+        try:
+            solution = lp.solve()
+        except PlanningError as exc:
+            raise PlanningError(
+                "knob planning failed; the budget is likely below the cost of the "
+                f"cheapest configuration ({costs.min():.3f} core-s/segment): {exc}"
+            ) from exc
+
+        assignments: Dict[int, np.ndarray] = {}
+        expected_cost = 0.0
+        for category in range(n_categories):
+            histogram = np.array(
+                [
+                    max(solution[("alpha", config_index, category)], 0.0)
+                    for config_index in range(n_configurations)
+                ]
+            )
+            histogram_sum = histogram.sum()
+            if histogram_sum > 0:
+                histogram = histogram / histogram_sum
+            else:
+                histogram = np.zeros(n_configurations)
+                histogram[int(np.argmin(costs))] = 1.0
+            assignments[category] = histogram
+            expected_cost += float(ratios[category] * np.dot(histogram, costs))
+
+        return KnobPlan(
+            assignments=assignments,
+            expected_quality=solution.objective,
+            expected_cost=expected_cost,
+            forecast=ratios,
+        )
+
+    def plan_inputs(
+        self,
+        forecast: Sequence[float],
+        budget_core_seconds_per_segment: float,
+        quality_matrix: Optional[np.ndarray] = None,
+    ) -> PlanInputs:
+        """The inputs :meth:`plan` solves for these arguments.
+
+        Raises:
+            ConfigurationError: on a malformed forecast or quality matrix, or
+                a budget that is not positive.
+        """
         ratios = np.asarray(forecast, dtype=float)
         if ratios.shape != (self.n_categories,):
             raise ConfigurationError(
@@ -112,67 +217,12 @@ class KnobPlanner:
                 f"got {quality_matrix.shape}"
             )
 
-        costs = np.array([profile.work_core_seconds for profile in self.profiles])
-
-        lp = LinearProgram()
-        for config_index in range(n_configurations):
-            for category in range(self.n_categories):
-                lp.add_variable(
-                    ("alpha", config_index, category),
-                    objective=ratios[category] * quality_matrix[config_index, category],
-                    lower=0.0,
-                    upper=1.0,
-                )
-        # Budget constraint (Equation 3).
-        lp.add_constraint_le(
-            {
-                ("alpha", config_index, category): ratios[category] * costs[config_index]
-                for config_index in range(n_configurations)
-                for category in range(self.n_categories)
-            },
-            budget_core_seconds_per_segment,
-        )
-        # Normalization constraints (Equation 4).
-        for category in range(self.n_categories):
-            lp.add_constraint_eq(
-                {
-                    ("alpha", config_index, category): 1.0
-                    for config_index in range(n_configurations)
-                },
-                1.0,
-            )
-
-        try:
-            solution = lp.solve()
-        except PlanningError as exc:
-            raise PlanningError(
-                "knob planning failed; the budget is likely below the cost of the "
-                f"cheapest configuration ({costs.min():.3f} core-s/segment): {exc}"
-            ) from exc
-
-        assignments: Dict[int, np.ndarray] = {}
-        expected_cost = 0.0
-        for category in range(self.n_categories):
-            histogram = np.array(
-                [
-                    max(solution[("alpha", config_index, category)], 0.0)
-                    for config_index in range(n_configurations)
-                ]
-            )
-            histogram_sum = histogram.sum()
-            if histogram_sum > 0:
-                histogram = histogram / histogram_sum
-            else:
-                histogram = np.zeros(n_configurations)
-                histogram[int(np.argmin(costs))] = 1.0
-            assignments[category] = histogram
-            expected_cost += float(ratios[category] * np.dot(histogram, costs))
-
-        return KnobPlan(
-            assignments=assignments,
-            expected_quality=solution.objective,
-            expected_cost=expected_cost,
-            forecast=ratios,
+        costs = np.array([profile.work_core_seconds for profile in self.profiles], dtype=float)
+        return PlanInputs(
+            ratios=ratios,
+            quality_matrix=quality_matrix,
+            costs=costs,
+            budget=budget_core_seconds_per_segment,
         )
 
     # ------------------------------------------------------------------ #

@@ -44,11 +44,10 @@ class SkyscraperPolicy:
         planned_interval_seconds: how often the knob planner re-plans
             (default 2 days, Appendix I).
         forecast_input_seconds: look-back window the forecaster receives.
-        initial_plan: the plan of ``initial_forecast`` under the budget, when
-            the caller already solved it (:meth:`Skyscraper.build_policy
-            <repro.core.skyscraper.Skyscraper.build_policy>` shares one
-            read-only plan across the policies of a run context); ``None``
-            solves it here.
+        initial_plan: the plan of ``initial_forecast`` under the budget.
+            :meth:`Skyscraper.build_policy
+            <repro.core.skyscraper.Skyscraper.build_policy>` solves it and
+            shares one read-only plan across the policies of a run context.
     """
 
     name = "skyscraper"
@@ -66,7 +65,8 @@ class SkyscraperPolicy:
         switch_period_seconds: float = 4.0,
         planned_interval_seconds: float = 2 * 86_400.0,
         forecast_input_seconds: float = 2 * 86_400.0,
-        initial_plan: Optional[KnobPlan] = None,
+        *,
+        initial_plan: KnobPlan,
     ):
         if switch_period_seconds <= 0:
             raise ConfigurationError("switch_period_seconds must be positive")
@@ -82,9 +82,6 @@ class SkyscraperPolicy:
         self.planned_interval_seconds = planned_interval_seconds
         self.forecast_input_seconds = forecast_input_seconds
 
-        if initial_plan is None:
-            initial = np.asarray(initial_forecast, dtype=float)
-            initial_plan = planner.plan(initial, budget_core_seconds_per_segment)
         self.switcher = KnobSwitcher(
             profiles=profiles,
             categorizer=categorizer,

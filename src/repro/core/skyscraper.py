@@ -156,7 +156,7 @@ class Skyscraper:
         self.fit_params: Optional[OfflineFitParams] = None
         self.fit_source: Optional[SyntheticVideoSource] = None
         self.fit_stage_cache_dir: Optional[Path] = None
-        # The last initial plan build_policy solved, with its LP inputs.
+        # The last initial plan build_policy solved, keyed on its LP inputs.
         self._initial_plan_memo: Optional[Tuple[tuple, KnobPlan]] = None
 
     # ------------------------------------------------------------------ #
@@ -383,25 +383,16 @@ class Skyscraper:
 
         Every stream of a run context builds its policy from the same
         forecast, budget and profiles, so they share one plan, made
-        read-only.  The memo key is the LP's exact inputs: the raw forecast,
-        the budget, the per-category quality matrix and each configuration's
-        work.  When the adaptive policy rewrites the category qualities, the
-        key changes and the next policy gets a fresh solve.
+        read-only.  The memo key is :meth:`KnobPlanner.plan_inputs
+        <repro.core.planner.KnobPlanner.plan_inputs>`, the exact inputs
+        ``plan`` solves from.  When the adaptive policy rewrites the category
+        qualities, the key changes and the next policy gets a fresh solve.
         """
-        forecast = np.asarray(initial_forecast, dtype=float)
-        qualities = self.profiles.quality_matrix(planner.n_categories)
-        key = (
-            forecast.shape,
-            forecast.tobytes(),
-            budget,
-            qualities.shape,
-            qualities.tobytes(),
-            tuple(profile.work_core_seconds for profile in self.profiles),
-        )
+        key = planner.plan_inputs(initial_forecast, budget).key
         memo = self._initial_plan_memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        plan = planner.plan(forecast, budget, quality_matrix=qualities)
+        plan = planner.plan(initial_forecast, budget)
         for array in (*plan.assignments.values(), plan.forecast):
             array.flags.writeable = False
         self._initial_plan_memo = (key, plan)

@@ -160,6 +160,31 @@ def test_plan_validation(profile_set):
         plan.histogram(9)
 
 
+def test_plan_inputs_key_changes_with_every_lp_input(profile_set):
+    """``Skyscraper`` memoizes the initial plan on ``plan_inputs(...).key``:
+    equal keys solve equal plans, and a change to any LP input changes it."""
+    planner = KnobPlanner(profile_set, n_categories=2)
+    inputs = planner.plan_inputs([0.6, 0.4], 4.0)
+    base = inputs.key
+    # A forecast that normalizes to the same ratios is the same LP.
+    assert planner.plan_inputs([1.5, 1.0], 4.0).key == base
+    plan = planner.plan([0.6, 0.4], 4.0)
+    same = planner.plan([1.5, 1.0], 4.0)
+    assert np.array_equal(plan.forecast, inputs.ratios)
+    for category in range(2):
+        assert np.array_equal(same.histogram(category), plan.histogram(category))
+
+    assert planner.plan_inputs([0.5, 0.5], 4.0).key != base
+    assert planner.plan_inputs([0.6, 0.4], 4.5).key != base
+    moved = profile_set.quality_matrix(2)[:, ::-1]
+    assert planner.plan_inputs([0.6, 0.4], 4.0, quality_matrix=moved).key != base
+    medium = _profile("medium", work=2.5, quality=0.8, cloud_runtime=1.2)
+    heavier = ProfileSet([profile_set[0], medium, profile_set[2]])
+    heavier[1].category_quality.update(profile_set[1].category_quality)
+    assert np.array_equal(heavier.quality_matrix(2), profile_set.quality_matrix(2))
+    assert KnobPlanner(heavier, n_categories=2).plan_inputs([0.6, 0.4], 4.0).key != base
+
+
 def test_joint_plan_shares_budget_across_streams(profile_set):
     planner = KnobPlanner(profile_set, n_categories=2)
     plans = planner.plan_joint(
