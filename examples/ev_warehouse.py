@@ -51,13 +51,13 @@ def ingest_camera(camera_id: str, seed: int, loader: EntityLoader, hours: float 
     start = 8.0 * 3600.0  # morning rush hour
     result = engine.run(StaticPolicy(profiles, profiles[0]), start, start + hours * 3600.0)
 
-    # Load step: re-evaluate the chosen configuration per segment to collect
-    # the warehouse rows (the engine already validated the quality numbers).
+    # Load step: ask the workload for the warehouse rows of every processed
+    # segment (the Transform step only reported qualities).
     detections = []
     for trace in result.traces:
         segment = source.segment_at(trace.segment_index)
-        outcome = workload.evaluate(profiles[0].configuration, segment)
-        detections.extend(outcome.warehouse_rows.get("detections", []))
+        rows = workload.warehouse_rows(profiles[0].configuration, segment)
+        detections.extend(rows["detections"])
     loaded = loader.load_detections(detections)
     print(f"  {camera_id}: processed {result.segments_total} segments, loaded {loaded} rows")
 

@@ -22,14 +22,16 @@ class StaticPolicy:
         self.profiles = profiles
         self.profile = profile
         self.configuration_index = profiles.index_of(profile.configuration)
+        # The placement never changes; ``on_prem_placement`` scans the
+        # profile's placements, so resolve it once, not per segment.
+        self.placement = profile.on_prem_placement
         self.name = f"static[{profile.configuration.short_label()}]"
 
     def decide(self, context: DecisionContext) -> PolicyDecision:
-        placement = self.profile.on_prem_placement
         return PolicyDecision(
             configuration_index=self.configuration_index,
             profile=self.profile,
-            placement=placement,
+            placement=self.placement,
         )
 
     def observe(self, outcome: SegmentOutcome, decision: PolicyDecision) -> None:

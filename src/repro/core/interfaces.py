@@ -9,8 +9,8 @@ boundary; every workload in :mod:`repro.workloads` implements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.knobs import KnobConfiguration, KnobSpace
 from repro.video.frame import VideoSegment
@@ -28,14 +28,15 @@ class SegmentOutcome:
         true_quality: ground-truth quality in [0, 1] used exclusively by the
             evaluation harness (the system never reads it).
         entities: number of entities extracted from the segment.
-        warehouse_rows: rows to load into the warehouse tables, keyed by
-            table kind (``"detections"``, ``"tracks"``, ``"sentiments"``).
+
+    The outcome carries no warehouse rows: the Transform step only needs
+    the qualities.  The Load step asks the workload for the rows of a
+    processed segment (``BaseWorkload.warehouse_rows``).
     """
 
     reported_quality: float
     true_quality: float
     entities: float = 0.0
-    warehouse_rows: Dict[str, List[Any]] = field(default_factory=dict)
 
 
 @runtime_checkable

@@ -548,10 +548,10 @@ def profile_configurations(
 ) -> ProfileSet:
     """The ``profile_placements`` stage as a standalone step.
 
-    Re-provisioning paths (``Skyscraper.with_resources``, artifact restore)
-    call this to re-measure the hardware-dependent placement profiles while
-    sharing the video-dependent artifacts; with a fitted ``categorizer`` the
-    per-category qualities are attached in the same pass.
+    ``Skyscraper.with_resources`` calls this when it re-provisions onto
+    other hardware, to re-measure the hardware-dependent placement profiles
+    while sharing the video-dependent artifacts; with a fitted
+    ``categorizer`` the per-category qualities are attached in the same pass.
     """
     profiles = build_profiles(
         workload, configurations, cores=cores, cloud=cloud, mean_qualities=mean_qualities

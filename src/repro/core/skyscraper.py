@@ -53,7 +53,7 @@ from repro.core.offline import (
 )
 from repro.core.planner import KnobPlan, KnobPlanner
 from repro.core.policy import SkyscraperPolicy
-from repro.core.profiles import ProfileSet
+from repro.core.profiles import ConfigurationProfile, ProfileSet
 from repro.video.stream import SyntheticVideoSource
 
 SECONDS_PER_DAY = 86_400.0
@@ -270,6 +270,13 @@ class Skyscraper:
         cloud costs) are re-measured for the new core count and cloud budget.
         This is how the evaluation sweeps machine tiers without re-running the
         whole offline phase.
+
+        On this instance's own hardware (same cores, equal cloud spec) a
+        re-measurement would repeat the placements already profiled, so the
+        clone gets fresh profile objects over those frozen placements, with
+        the same mean and per-category qualities a re-profile attaches.
+        Fresh objects keep the clone's category-quality updates (the
+        adaptive policy's) away from this instance.
         """
         if self.profiles is None or self.categorizer is None or self.report is None:
             raise NotFittedError("Skyscraper.fit must run before re-provisioning")
@@ -294,14 +301,27 @@ class Skyscraper:
         clone.fit_params = self.fit_params
         clone.fit_source = self.fit_source
         clone.fit_stage_cache_dir = self.fit_stage_cache_dir
-        clone.profiles = profile_configurations(
-            self.workload,
-            self.report.kept_configurations,
-            cores=resources.cores,
-            cloud=clone.cloud,
-            mean_qualities=self.report.mean_qualities,
-            categorizer=self.categorizer,
-        )
+        if resources.cores == self.resources.cores and clone.cloud == self.cloud:
+            clone.profiles = ProfileSet(
+                [
+                    ConfigurationProfile(
+                        configuration=configuration,
+                        placements=list(self.profiles.profile(configuration).placements),
+                        mean_quality=float(self.report.mean_qualities[configuration]),
+                    )
+                    for configuration in self.report.kept_configurations
+                ]
+            )
+            clone.attach_category_qualities(clone.profiles)
+        else:
+            clone.profiles = profile_configurations(
+                self.workload,
+                self.report.kept_configurations,
+                cores=resources.cores,
+                cloud=clone.cloud,
+                mean_qualities=self.report.mean_qualities,
+                categorizer=self.categorizer,
+            )
         return clone
 
     def attach_category_qualities(self, profiles: ProfileSet) -> None:

@@ -8,12 +8,15 @@ the per-stream served fractions (fleet-wide and the worst shard).  Both
 registered ``fleet_service_scaling`` figure spec run through this one
 function, so the CLI benchmark and the reproduction suite cannot drift.
 
-Why more shards are faster even on one core: a single engine's scheduler
-scans every session per serve (O(streams) per segment), so splitting a
-1k-stream fleet into 8 engines of 128 streams cuts the dominant scan cost
-~8x before any multi-core parallelism — and each shard also brings its own
-cluster, which is the capacity story behind drop rate and lag improving
-with the shard count.
+Why more shards are faster: each shard brings its own cluster of
+``cores_per_shard`` simulated cores, so ``n_shards`` shards simulate
+``n_shards * cores_per_shard`` cores rather than splitting a fixed total.
+More shards therefore add simulated capacity as well as processes: that
+capacity drives drop rate and lag down with the shard count, and it
+confounds the wall-clock speedup a row reports.  Splitting also shortens
+each engine's per-serve scan of its ready streams under ``"fifo"`` (the
+default here) and ``"round-robin"``; ``"lag-aware"`` serves from a heap
+and gains nothing there.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,19 @@ class BaseWorkload:
     def evaluate(
         self, configuration: KnobConfiguration, segment: VideoSegment
     ) -> SegmentOutcome:
+        raise NotImplementedError
+
+    def warehouse_rows(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> Dict[str, List[Any]]:
+        """The Load step: warehouse rows of ``segment`` processed with ``configuration``.
+
+        Rows are keyed by table kind (``"detections"``, ``"tracks"``,
+        ``"sentiments"``) and, like :meth:`evaluate`, are a function of
+        (configuration, segment) alone.  Each workload builds them from the
+        same quality model its ``evaluate`` runs, so rows and qualities
+        agree.  The ingestion engine never calls this; only a loader does.
+        """
         raise NotImplementedError
 
     def evaluate_many(

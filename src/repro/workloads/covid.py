@@ -23,7 +23,7 @@ everywhere.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.interfaces import SegmentOutcome
 from repro.core.knobs import KnobConfiguration, KnobSpace
@@ -205,7 +205,6 @@ class CovidWorkload(BaseWorkload):
     ) -> SegmentOutcome:
         frame_rate = float(configuration["frame_rate"])
         det_interval = int(configuration["det_interval"])
-        tiles_per_side = int(configuration["tiles"])
         content = segment.content
 
         robustness = self._config_term("robustness", configuration, self._robustness)
@@ -231,18 +230,52 @@ class CovidWorkload(BaseWorkload):
         report_noise = self._noise(configuration, segment, "report", 0.03)
         reported_quality = self._clip01(captured_fraction + report_noise)
 
-        pedestrians = segment.ground_truth_objects
-        tracked = int(round(pedestrians * true_quality))
-        detections = self.detector.detect_segment(
-            content,
-            pedestrians,
+        return SegmentOutcome(
+            reported_quality=reported_quality,
+            true_quality=true_quality,
+            entities=float(int(round(segment.ground_truth_objects * true_quality))),
+        )
+
+    def _detection_confidence(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> float:
+        """Mean detector confidence on ``segment``: its recall plus hashed noise.
+
+        The detector's own ``detect_segment`` draws its noise from a stateful
+        generator, which would make a row depend on how many segments were
+        detected before it; the workload's hashed noise keeps the row a
+        function of (configuration, segment).
+        """
+        frame_rate = float(configuration["frame_rate"])
+        tiles_per_side = int(configuration["tiles"])
+        recall = self.detector.detection_recall(
+            segment.content,
             model_size="medium",
             tiles=tiles_per_side * tiles_per_side,
             sampling_fraction=max(frame_rate / _NATIVE_FPS, 1e-3),
         )
-        violations = int(round(tracked * content.occlusion * 0.5))
+        noise_level = self.detector.noise_level
+        noisy_recall = self._clip01(
+            recall + self._noise(configuration, segment, "recall", noise_level)
+        )
+        return self._clip01(
+            0.35
+            + 0.6 * noisy_recall
+            + self._noise(configuration, segment, "confidence", noise_level / 2.0)
+        )
 
-        warehouse_rows = {
+    def warehouse_rows(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> Dict[str, List[Any]]:
+        """Load step: one ``person`` detection row and one track row per segment.
+
+        Both count the outcome's tracked pedestrians; the track row carries
+        its reported quality as the tracker's certainty.
+        """
+        outcome = self.evaluate(configuration, segment)
+        pedestrians = segment.ground_truth_objects
+        tracked = int(outcome.entities)
+        return {
             "detections": [
                 DetectionRecord(
                     camera_id=segment.stream_id,
@@ -250,7 +283,7 @@ class CovidWorkload(BaseWorkload):
                     timestamp=segment.start_time,
                     category="person",
                     count=tracked,
-                    mean_confidence=detections.mean_confidence,
+                    mean_confidence=self._detection_confidence(configuration, segment),
                 )
             ],
             "tracks": [
@@ -260,16 +293,10 @@ class CovidWorkload(BaseWorkload):
                     timestamp=segment.start_time,
                     tracked_objects=tracked,
                     lost_tracks=max(pedestrians - tracked, 0),
-                    mean_certainty=reported_quality,
+                    mean_certainty=outcome.reported_quality,
                 )
             ],
         }
-        return SegmentOutcome(
-            reported_quality=reported_quality,
-            true_quality=true_quality,
-            entities=float(tracked),
-            warehouse_rows=warehouse_rows,
-        )
 
 
 def make_covid_setup(

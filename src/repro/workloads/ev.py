@@ -169,7 +169,7 @@ class EVCountingWorkload(BaseWorkload):
         reported_quality = self._clip01(
             captured + self._noise(configuration, segment, "report", 0.03)
         )
-        return self._package_outcome(segment, true_quality, reported_quality)
+        return self._outcome(segment, true_quality, reported_quality)
 
     def evaluate_config_batch(
         self, configuration: KnobConfiguration, segments: Sequence[VideoSegment]
@@ -199,41 +199,44 @@ class EVCountingWorkload(BaseWorkload):
             reported_quality = self._clip01(
                 base + self._noise(configuration, segment, "report", 0.03)
             )
-            outcomes.append(self._package_outcome(segment, true_quality, reported_quality))
+            outcomes.append(self._outcome(segment, true_quality, reported_quality))
         return outcomes
 
-    def _package_outcome(
-        self, segment: VideoSegment, true_quality: float, reported_quality: float
+    @staticmethod
+    def _outcome(
+        segment: VideoSegment, true_quality: float, reported_quality: float
     ) -> SegmentOutcome:
-        cars = segment.ground_truth_objects
-        counted = int(round(cars * true_quality))
+        """The outcome of one segment: its counted cars are the entities."""
+        return SegmentOutcome(
+            reported_quality=reported_quality,
+            true_quality=true_quality,
+            entities=float(int(round(segment.ground_truth_objects * true_quality))),
+        )
+
+    def warehouse_rows(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> Dict[str, List[DetectionRecord]]:
+        """Load step: one ``car`` and one ``ev`` detection row per segment.
+
+        The counts split the outcome's counted cars, and the rows carry its
+        reported quality as their confidence.
+        """
+        outcome = self.evaluate(configuration, segment)
+        counted = int(outcome.entities)
         ev_count = int(round(counted * _EV_FRACTION))
-        warehouse_rows = {
+        return {
             "detections": [
                 DetectionRecord(
                     camera_id=segment.stream_id,
                     segment_index=segment.segment_index,
                     timestamp=segment.start_time,
-                    category="car",
-                    count=counted - ev_count,
-                    mean_confidence=reported_quality,
-                ),
-                DetectionRecord(
-                    camera_id=segment.stream_id,
-                    segment_index=segment.segment_index,
-                    timestamp=segment.start_time,
-                    category="ev",
-                    count=ev_count,
-                    mean_confidence=reported_quality,
-                ),
+                    category=category,
+                    count=count,
+                    mean_confidence=outcome.reported_quality,
+                )
+                for category, count in (("car", counted - ev_count), ("ev", ev_count))
             ]
         }
-        return SegmentOutcome(
-            reported_quality=reported_quality,
-            true_quality=true_quality,
-            entities=float(counted),
-            warehouse_rows=warehouse_rows,
-        )
 
 
 def make_ev_setup(

@@ -17,7 +17,7 @@ size, and the number of streams to analyze.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -221,9 +221,10 @@ class MoseiWorkload(BaseWorkload):
         base = 0.95 - 0.35 * difficulty * (1.0 - robustness) - 0.12 * (1.0 - robustness)
         return self._clip01(base)
 
-    def evaluate(
+    def _measure(
         self, configuration: KnobConfiguration, segment: VideoSegment
-    ) -> SegmentOutcome:
+    ) -> Tuple[SegmentOutcome, float]:
+        """The outcome of ``segment`` and the classifier certainty behind it."""
         active = self.active_streams(segment)
         analyzed = self.analyzed_streams(configuration, segment)
         accuracy = self._per_stream_accuracy(configuration, segment)
@@ -236,9 +237,25 @@ class MoseiWorkload(BaseWorkload):
             0.3 + 0.65 * accuracy + self._noise(configuration, segment, "certainty", 0.03)
         )
         reported_quality = self._clip01((analyzed / active) * certainty)
+        outcome = SegmentOutcome(
+            reported_quality=reported_quality,
+            true_quality=true_quality,
+            entities=float(analyzed),
+        )
+        return outcome, certainty
 
+    def evaluate(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> SegmentOutcome:
+        return self._measure(configuration, segment)[0]
+
+    def warehouse_rows(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> Dict[str, List[SentimentRecord]]:
+        """Load step: sentiment rows for up to three of the analyzed streams."""
+        outcome, certainty = self._measure(configuration, segment)
         sentiment_label = "positive" if segment.content.lighting > 0.5 else "neutral"
-        warehouse_rows = {
+        return {
             "sentiments": [
                 SentimentRecord(
                     stream_id=f"{segment.stream_id}-{stream_index}",
@@ -247,15 +264,9 @@ class MoseiWorkload(BaseWorkload):
                     sentiment=sentiment_label,
                     certainty=certainty,
                 )
-                for stream_index in range(min(analyzed, 3))
+                for stream_index in range(min(int(outcome.entities), 3))
             ]
         }
-        return SegmentOutcome(
-            reported_quality=reported_quality,
-            true_quality=true_quality,
-            entities=float(analyzed),
-            warehouse_rows=warehouse_rows,
-        )
 
 
 def make_mosei_setup(

@@ -10,7 +10,7 @@ model's reported certainty (the paper uses certainty as an accuracy proxy).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.interfaces import SegmentOutcome
 from repro.core.knobs import KnobConfiguration, KnobSpace
@@ -167,9 +167,10 @@ class MotWorkload(BaseWorkload):
             + 0.15 * (1.0 - content.lighting) * content.object_density
         )
 
-    def evaluate(
+    def _measure(
         self, configuration: KnobConfiguration, segment: VideoSegment
-    ) -> SegmentOutcome:
+    ) -> Tuple[SegmentOutcome, float]:
+        """The outcome of ``segment`` and the model certainty behind it."""
         robustness = self._config_term("robustness", configuration, self._robustness)
         difficulty = self._difficulty(segment)
         size_term = {"small": 0.06, "medium": 0.03, "large": 0.0}[str(configuration["model_size"])]
@@ -180,10 +181,26 @@ class MotWorkload(BaseWorkload):
         # certainty correlates with the true success rate.
         certainty = self._clip01(0.25 + 0.72 * captured + self._noise(configuration, segment, "certainty", 0.03))
         reported_quality = self._clip01(captured * 0.5 + certainty * 0.5)
+        outcome = SegmentOutcome(
+            reported_quality=reported_quality,
+            true_quality=true_quality,
+            entities=float(int(round(segment.ground_truth_objects * true_quality))),
+        )
+        return outcome, certainty
 
+    def evaluate(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> SegmentOutcome:
+        return self._measure(configuration, segment)[0]
+
+    def warehouse_rows(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> Dict[str, List[TrackRecord]]:
+        """Load step: one track row per segment with the tracked pedestrians."""
+        outcome, certainty = self._measure(configuration, segment)
         pedestrians = segment.ground_truth_objects
-        tracked = int(round(pedestrians * true_quality))
-        warehouse_rows = {
+        tracked = int(outcome.entities)
+        return {
             "tracks": [
                 TrackRecord(
                     camera_id=segment.stream_id,
@@ -195,12 +212,6 @@ class MotWorkload(BaseWorkload):
                 )
             ]
         }
-        return SegmentOutcome(
-            reported_quality=reported_quality,
-            true_quality=true_quality,
-            entities=float(tracked),
-            warehouse_rows=warehouse_rows,
-        )
 
 
 def make_mot_setup(

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import repro.core.skyscraper
 from repro.core.filtering import (
     configuration_work,
     filter_knob_configurations,
     find_extreme_configurations,
     sample_diverse_segments,
 )
+from repro.core.offline import profile_configurations
 from repro.core.profiles import build_profiles
 from repro.core.skyscraper import Skyscraper, SkyscraperResources
 from repro.errors import ConfigurationError, NotFittedError
@@ -65,6 +67,54 @@ def test_with_resources_reprofiles_but_shares_models(fitted_skyscraper):
     original_runtime = fitted_skyscraper.profiles.most_expensive().on_prem_placement.runtime_seconds
     clone_runtime = clone.profiles.most_expensive().on_prem_placement.runtime_seconds
     assert clone_runtime < original_runtime
+
+
+def test_with_resources_on_the_fitted_hardware_reuses_placements(
+    fitted_skyscraper, monkeypatch
+):
+    """Same cores and cloud: profiles equal to a re-profile, without one."""
+    sky = fitted_skyscraper
+    report = sky.report
+    expected = profile_configurations(
+        sky.workload,
+        report.kept_configurations,
+        cores=sky.resources.cores,
+        cloud=sky.cloud,
+        mean_qualities=report.mean_qualities,
+        categorizer=sky.categorizer,
+    )
+    reprofiles = []
+    real_profile_configurations = repro.core.skyscraper.profile_configurations
+
+    def counting_profile_configurations(*args, **kwargs):
+        reprofiles.append(kwargs["cores"])
+        return real_profile_configurations(*args, **kwargs)
+
+    monkeypatch.setattr(
+        repro.core.skyscraper, "profile_configurations", counting_profile_configurations
+    )
+    clone = sky.with_resources(
+        SkyscraperResources(
+            cores=sky.resources.cores,
+            buffer_bytes=1_000_000,
+            cloud_budget_per_day=sky.resources.cloud_budget_per_day,
+        )
+    )
+    assert reprofiles == []
+    assert list(clone.profiles) == list(expected)
+    for fresh, fitted in zip(clone.profiles, sky.profiles):
+        assert fresh is not fitted
+        assert all(a is b for a, b in zip(fresh.placements, fitted.placements))
+
+    before = [dict(profile.category_quality) for profile in sky.profiles]
+    clone.profiles.set_category_qualities(
+        np.zeros((len(clone.profiles), sky.categorizer.actual_categories))
+    )
+    assert [profile.category_quality for profile in sky.profiles] == before
+
+    sky.with_resources(SkyscraperResources(cores=4, cloud_budget_per_day=2.0))
+    sky.with_resources(SkyscraperResources(cores=sky.resources.cores))
+    assert reprofiles == [4, sky.resources.cores]
 
 
 def test_budget_conversion_includes_cloud_credits(fitted_skyscraper):

@@ -110,12 +110,34 @@ def test_quality_weight_reflects_entities(workload):
 
 
 def test_warehouse_rows_are_emitted(workload):
+    """The Load step's rows count the entities the Transform step reported."""
     _, expensive = _cheapest_and_most_expensive(workload)
     source = workload.make_source()
     segment = source.segment_at(int(12 * 3600.0 / source.segment_seconds))
     outcome = workload.evaluate(expensive, segment)
-    assert outcome.warehouse_rows
-    assert outcome.entities >= 0.0
+    rows = workload.warehouse_rows(expensive, segment)
+    assert outcome.entities > 0.0
+    if workload.name == "ev":
+        assert sum(row.count for row in rows["detections"]) == outcome.entities
+        assert {row.category for row in rows["detections"]} == {"car", "ev"}
+    elif workload.name in ("covid", "mot"):
+        assert [row.tracked_objects for row in rows["tracks"]] == [outcome.entities]
+    else:
+        assert len(rows["sentiments"]) == min(int(outcome.entities), 3)
+
+
+def test_warehouse_rows_do_not_depend_on_call_order(workload):
+    """Rows are a function of (configuration, segment), like the outcome."""
+    cheapest, expensive = _cheapest_and_most_expensive(workload)
+    source = workload.make_source()
+    pairs = [
+        (configuration, source.segment_at(index))
+        for index in range(20_000, 20_003)
+        for configuration in (cheapest, expensive)
+    ]
+    forward = [workload.warehouse_rows(*pair) for pair in pairs]
+    backward = [workload.warehouse_rows(*pair) for pair in reversed(pairs)][::-1]
+    assert forward == backward
 
 
 # --------------------------------------------------------------------- #
