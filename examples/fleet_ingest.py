@@ -5,8 +5,8 @@ same EV-counting job to a *fleet*: six phase-shifted cameras (their rush
 hours are offset by two hours each, as across a city) share one 8-core box
 and one daily cloud budget, and a scheduler decides which camera's pending
 segment gets the cores next.  The staged offline pipeline is fitted once on
-the base camera (through ``prepare_bundle``, which caches the offline
-artifacts when given a ``cache_dir=``) and shared across the fleet.
+the base camera (through ``prepare_bundle``, which caches each offline
+stage's artifacts when given a ``cache_dir=``) and shared across the fleet.
 
 Run with::
 

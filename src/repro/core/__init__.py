@@ -35,6 +35,7 @@ from repro.core.switcher import KnobSwitcher, SwitchDecision
 from repro.core.engine import IngestionEngine, IngestionResult, Policy, SegmentTrace
 from repro.core.events import EventLoop, StreamSession
 from repro.core.fleet import (
+    BudgetLedger,
     DailyBudgetLedger,
     FifoScheduler,
     FleetEngine,
@@ -82,6 +83,7 @@ __all__ = [
     "SegmentTrace",
     "EventLoop",
     "StreamSession",
+    "BudgetLedger",
     "DailyBudgetLedger",
     "FleetEngine",
     "FleetResult",

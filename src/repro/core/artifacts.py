@@ -5,10 +5,9 @@ filters knob configurations, profiles placements, clusters content categories
 and (optionally) trains the forecaster.  All of that state is captured here in
 an :class:`OfflineArtifacts` value that can be saved to disk (a small JSON
 document plus one ``.npz`` file for the array state) and restored into a fully
-fitted :class:`~repro.core.skyscraper.Skyscraper` — so a benchmark suite fits
-each workload once and reloads thereafter
-(:func:`repro.experiments.runner.prepare_bundle` exposes this as
-``cache_dir=``).
+fitted :class:`~repro.core.skyscraper.Skyscraper`, so a deployment fits once
+and reloads thereafter.  (:func:`repro.experiments.runner.prepare_bundle`
+caches per offline stage instead; see :class:`repro.core.offline.StageCache`.)
 
 The restore path is exact: the categorizer centers, the initial forecast and
 the forecaster weights round-trip bit-for-bit through ``.npz``, and the
@@ -40,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.ml.mlp import MLPConfig
 
 #: Bumped whenever the on-disk layout changes incompatibly.
-ARTIFACTS_FORMAT_VERSION = 1
+ARTIFACTS_FORMAT_VERSION = 2
 
 _JSON_NAME = "artifacts.json"
 _ARRAYS_NAME = "arrays.npz"
@@ -53,6 +52,7 @@ class ForecasterState:
     n_categories: int
     n_splits: int
     mlp_config: MLPConfig
+    input_seconds: float
     parameters: List[np.ndarray] = field(default_factory=list)
 
     def build(self) -> ContentForecaster:
@@ -61,7 +61,7 @@ class ForecasterState:
             n_splits=self.n_splits,
             config=self.mlp_config,
         )
-        forecaster.restore_parameters(self.parameters)
+        forecaster.restore_parameters(self.parameters, self.input_seconds)
         return forecaster
 
     @staticmethod
@@ -70,6 +70,7 @@ class ForecasterState:
             n_categories=forecaster.n_categories,
             n_splits=forecaster.n_splits,
             mlp_config=forecaster.config,
+            input_seconds=forecaster.input_seconds,
             parameters=forecaster.get_parameters(),
         )
 
@@ -184,6 +185,7 @@ class OfflineArtifacts:
             document["forecaster"] = {
                 "n_categories": state.n_categories,
                 "n_splits": state.n_splits,
+                "input_seconds": state.input_seconds,
                 "n_parameters": len(state.parameters),
                 "mlp_config": {
                     "hidden_sizes": list(state.mlp_config.hidden_sizes),
@@ -243,6 +245,7 @@ class OfflineArtifacts:
                         weight_decay=config["weight_decay"],
                         seed=config["seed"],
                     ),
+                    input_seconds=float(serialized["input_seconds"]),
                     parameters=[
                         arrays[f"forecaster_parameter_{index}"]
                         for index in range(int(serialized["n_parameters"]))

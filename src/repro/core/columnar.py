@@ -34,7 +34,7 @@ full scan included), and to a documented ~1 ulp tolerance where
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -165,8 +165,7 @@ class SessionColumns:
     * ``bytes_per_second[i]`` — ``encoded_bytes / segment_seconds``, which
       is exactly ``SyntheticVideoSource.bytes_per_second`` (the scalar path
       re-derived the same integer from the content state);
-    * ``weights[i]`` — the workload's quality weight, or ``None`` when the
-      workload defines no weight (treated as 1.0 by the session).
+    * ``weights[i]`` — the workload's quality weight.
     """
 
     def __init__(
@@ -183,16 +182,9 @@ class SessionColumns:
         self.arrival_times: List[float] = (columns.start_time + duration).tolist()
         self.encoded_bytes: List[int] = columns.encoded_bytes.tolist()
         self.bytes_per_second: List[float] = (columns.encoded_bytes / duration).tolist()
-        self.weights: Optional[List[float]] = None
-        quality_weight = getattr(workload, "quality_weight", None)
-        if quality_weight is not None:
-            weight_columns = getattr(workload, "quality_weight_columns", None)
-            if weight_columns is not None:
-                self.weights = np.asarray(weight_columns(columns), dtype=float).tolist()
-            else:
-                self.weights = [
-                    float(quality_weight(columns.segment(i))) for i in range(len(columns))
-                ]
+        self.weights: List[float] = np.asarray(
+            workload.quality_weight_columns(columns), dtype=float
+        ).tolist()
 
     def __len__(self) -> int:
         return len(self.segment_indices)

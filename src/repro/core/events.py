@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.cluster.resources import ClusterSpec
@@ -35,7 +35,6 @@ from repro.core.engine import (
 )
 from repro.core.interfaces import VETLWorkload
 from repro.errors import ConfigurationError
-from repro.video.frame import VideoSegment
 from repro.video.stream import SyntheticVideoSource
 
 #: Event kinds.  Lower values are processed first at equal timestamps: a
@@ -85,18 +84,18 @@ class PendingSegment:
     that keeps arriving while the segment waits, and numbers segments by
     arrival order — both must survive the segment sitting in the queue.
 
-    ``segment`` is materialized lazily: entries created from a session's
-    columnar window carry only their row ``position`` until the segment is
-    actually processed (dropped segments are never built), while explicitly
-    constructed entries (tests, custom drivers) pass the segment directly.
+    An entry carries the segment's row ``position`` in the session's
+    columnar window; the :class:`VideoSegment` is only built when the
+    segment is processed.  ``encoded_bytes`` is what its finish event
+    releases from the buffer.
     """
 
-    segment: Optional[VideoSegment]
+    position: int
     arrival_time: float
     occupancy_at_arrival: int
     arrival_ordinal: int
     weight: float
-    position: int = field(default=-1)
+    encoded_bytes: int
 
 
 class StreamSession:
@@ -139,9 +138,6 @@ class StreamSession:
         self.stream_id = stream_id or source.stream_id
         self.on_overflow = on_overflow
         self.keep_traces = keep_traces
-
-        self._runtime_scale = getattr(workload, "runtime_scale", None)
-        self._quality_weight = getattr(workload, "quality_weight", None)
 
         self.index = 0  # position within the fleet, assigned by the engine
         self.result: Optional[IngestionResult] = None
@@ -217,7 +213,7 @@ class StreamSession:
 
         result.segments_total += 1
         arrival_ordinal = result.segments_total - 1
-        weight = columns.weights[position] if columns.weights is not None else 1.0
+        weight = columns.weights[position]
         result.total_quality_weight += weight
 
         occupancy = backlog_before + encoded_bytes
@@ -258,12 +254,12 @@ class StreamSession:
         self.buffer_bytes = occupancy
         self.pending.append(
             PendingSegment(
-                segment=None,
+                position=position,
                 arrival_time=arrival,
                 occupancy_at_arrival=occupancy,
                 arrival_ordinal=arrival_ordinal,
                 weight=weight,
-                position=position,
+                encoded_bytes=encoded_bytes,
             )
         )
         return True
@@ -291,17 +287,12 @@ class StreamSession:
         are bit-for-bit identical to the pre-refactor engine.
         """
         result = self.result
-        assert result is not None, "StreamSession.start must run first"
-        if entry.segment is None:
-            assert self._columns is not None, "StreamSession.start must run first"
-            entry.segment = self._columns.segment(entry.position)
-        segment = entry.segment
+        columns = self._columns
+        assert result is not None and columns is not None, "StreamSession.start must run first"
+        segment = columns.segment(entry.position)
         arrival = entry.arrival_time
 
-        if entry.position >= 0 and self._columns is not None:
-            bytes_per_second = self._columns.bytes_per_second[entry.position]
-        else:
-            bytes_per_second = self.source.bytes_per_second(segment.content)
+        bytes_per_second = columns.bytes_per_second[entry.position]
         lag_seconds = max(decision_time - arrival, 0.0)
         # The cluster frees up possibly well after this segment arrived; by
         # then more video has arrived, so estimate the occupancy the policy
@@ -326,9 +317,7 @@ class StreamSession:
         if placement.cloud_dollars > cloud_remaining:
             placement = decision.profile.on_prem_placement
 
-        scale = 1.0
-        if self._runtime_scale is not None:
-            scale = float(self._runtime_scale(decision.profile.configuration, segment))
+        scale = float(self.workload.runtime_scale(decision.profile.configuration, segment))
         runtime = placement.runtime_seconds * scale
         extra = decision.extra_work_core_seconds
         runtime += extra / cluster.cores

@@ -12,17 +12,17 @@ work-quality Pareto frontier:
    frontier;
 4. the filtered set K is the union over the sampled segments.
 
-Every function takes an optional ``evaluator`` (an object exposing
-``evaluate_many``, typically :class:`~repro.core.offline.EvaluationCache`):
-evaluations are then batched and deduplicated against the other offline
-stages.  ``filter_knob_configurations`` additionally accepts an ``executor``
-so its per-segment hill climbs — independent work units — fan out over a
-process pool.
+Every function takes an optional ``evaluator`` (a
+:class:`~repro.core.offline.EvaluationCache`): evaluations are then batched
+and deduplicated against the other offline stages.
+``filter_knob_configurations`` additionally accepts an ``executor`` so its
+per-segment hill climbs — independent work units — fan out over a process
+pool.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from repro.core.knobs import KnobConfiguration
 from repro.ml.hillclimb import hill_climb
 from repro.ml.pareto import pareto_front
 from repro.video.frame import VideoSegment
+
+if TYPE_CHECKING:
+    from repro.core.offline import EvaluationCache, OfflineExecutor
 
 
 def configuration_work(
@@ -45,7 +48,7 @@ def configuration_work(
 def find_extreme_configurations(
     workload: VETLWorkload,
     labeled_segments: Sequence[VideoSegment],
-    evaluator: Optional[Any] = None,
+    evaluator: Optional["EvaluationCache"] = None,
 ) -> Tuple[KnobConfiguration, KnobConfiguration]:
     """The cheapest configuration ``k-`` and the most qualitative ``k+``.
 
@@ -85,7 +88,7 @@ def sample_diverse_segments(
     best: Optional[KnobConfiguration] = None,
     n_pre: Optional[int] = None,
     seed: int = 0,
-    evaluator: Optional[Any] = None,
+    evaluator: Optional["EvaluationCache"] = None,
 ) -> List[VideoSegment]:
     """Greedy max-min sampling of segments with diverse content dynamics.
 
@@ -137,7 +140,7 @@ def _segment_frontier(
         VideoSegment,
         float,
         float,
-        Optional[Any],
+        Optional["EvaluationCache"],
         Optional[Dict[KnobConfiguration, float]],
     ],
 ) -> Tuple[
@@ -203,8 +206,8 @@ def filter_knob_configurations(
     search_segments: Sequence[VideoSegment],
     work_weight: float = 0.5,
     max_configurations: Optional[int] = None,
-    evaluator: Optional[Any] = None,
-    executor: Optional[Any] = None,
+    evaluator: Optional["EvaluationCache"] = None,
+    executor: Optional["OfflineExecutor"] = None,
 ) -> Tuple[List[KnobConfiguration], Dict[KnobConfiguration, float]]:
     """Filter the knob space down to an approximate work-quality Pareto set.
 
@@ -247,7 +250,7 @@ def filter_knob_configurations(
         1e-9,
     )
 
-    workers = getattr(executor, "workers", 1) if executor is not None else 1
+    workers = executor.workers if executor is not None else 1
     parallel = workers > 1 and len(search_segments) > 1
     if parallel:
         # Pool workers keep local caches; the shared evaluator/work cache

@@ -38,6 +38,38 @@ from repro.video.stream import SyntheticVideoSource
 # --------------------------------------------------------------------- #
 # Shared daily cloud-budget ledger
 # --------------------------------------------------------------------- #
+class BudgetLedger(Protocol):
+    """A daily cloud budget that fleet streams charge their spend to.
+
+    :class:`DailyBudgetLedger` keeps one in process;
+    :class:`repro.service.ledger.SharedDailyLedger` shares one across worker
+    processes; :class:`repro.planning.allocation.TenantSubLedger` caps one
+    tenant's spend inside another ledger.
+    """
+
+    def remaining(self, time: float) -> float:
+        """Budget left for the day containing ``time`` (``inf`` if unlimited)."""
+        ...
+
+    def charge(self, time: float, dollars: float) -> None:
+        """Charge ``dollars`` against the day containing ``time``."""
+        ...
+
+    def spent_on(self, time: float) -> float:
+        """Dollars already spent during the day containing ``time``."""
+        ...
+
+    @property
+    def spend_by_day(self) -> Dict[int, float]:
+        """Spend per day index."""
+        ...
+
+    @property
+    def total_dollars(self) -> float:
+        """Spend across every day."""
+        ...
+
+
 class DailyBudgetLedger:
     """Cloud spend charged against a daily budget shared by a whole fleet.
 
@@ -281,8 +313,7 @@ class FleetStream:
             shared one — how a fleet plan's per-tenant sub-budgets deploy
             (see :class:`repro.planning.allocation.TenantSubLedger`, whose
             charges forward to the shared ledger so fleet-wide accounting
-            stays intact).  Anything that quacks like
-            :class:`DailyBudgetLedger` works.
+            stays intact).
     """
 
     workload: VETLWorkload
@@ -291,7 +322,7 @@ class FleetStream:
     stream_id: Optional[str] = None
     buffer_capacity_bytes: int = 4_000_000_000
     on_overflow: str = "drop"
-    ledger: Optional[object] = None
+    ledger: Optional[BudgetLedger] = None
 
 
 @dataclass
@@ -416,7 +447,7 @@ class FleetEngine:
         cloud: Optional[CloudSpec] = None,
         scheduler: Union[str, Scheduler] = "fifo",
         keep_traces: bool = True,
-        ledger: Optional["DailyBudgetLedger"] = None,
+        ledger: Optional[BudgetLedger] = None,
     ):
         self.cluster = cluster
         self.cloud = cloud or CloudSpec()
@@ -463,7 +494,7 @@ class FleetEngine:
 
         scheduler = make_scheduler(self.scheduler)
         scheduler.reset()
-        ledger = (
+        ledger: BudgetLedger = (
             self.ledger
             if self.ledger is not None
             else DailyBudgetLedger(self.cloud.daily_budget_dollars)
@@ -522,7 +553,7 @@ class FleetEngine:
                 if cloud_dollars:
                     stream_ledger.charge(now, cloud_dollars)
                 busy_until = finish
-                loop.schedule(finish, FINISH, chosen, entry.segment.encoded_bytes)
+                loop.schedule(finish, FINISH, chosen, entry.encoded_bytes)
 
         stream_results: Dict[str, IngestionResult] = {}
         for session in sessions:
@@ -536,7 +567,7 @@ class FleetEngine:
                 )
             stream_results[session.stream_id] = result
         return FleetResult(
-            scheduler=getattr(scheduler, "name", type(scheduler).__name__),
+            scheduler=scheduler.name,
             start_time=start_time,
             end_time=end_time,
             stream_results=stream_results,

@@ -9,7 +9,7 @@ The model is the small feed-forward network of Appendix K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,12 +29,16 @@ class ForecastDataset:
         targets: ``(n_samples, n_categories)`` target histograms.
         n_categories: number of content categories.
         n_splits: number of input histograms per sample.
+        input_seconds: the look-back window the inputs cover (whole labels,
+            so ``input_seconds`` of :meth:`from_labels` rounded to a
+            multiple of ``n_splits`` labels).
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     n_categories: int
     n_splits: int
+    input_seconds: float
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -118,6 +122,7 @@ class ForecastDataset:
             targets=targets,
             n_categories=n_categories,
             n_splits=n_splits,
+            input_seconds=labels_per_input * label_period_seconds,
         )
 
     def split(self, train_fraction: float) -> Tuple["ForecastDataset", "ForecastDataset"]:
@@ -126,12 +131,8 @@ class ForecastDataset:
             raise ConfigurationError("train_fraction must be in (0, 1)")
         cut = int(round(len(self) * train_fraction))
         cut = min(max(cut, 1), len(self) - 1)
-        first = ForecastDataset(
-            self.inputs[:cut], self.targets[:cut], self.n_categories, self.n_splits
-        )
-        second = ForecastDataset(
-            self.inputs[cut:], self.targets[cut:], self.n_categories, self.n_splits
-        )
+        first = replace(self, inputs=self.inputs[:cut], targets=self.targets[:cut])
+        second = replace(self, inputs=self.inputs[cut:], targets=self.targets[cut:])
         return first, second
 
 
@@ -170,6 +171,9 @@ class ContentForecaster:
         self.n_categories = n_categories
         self.n_splits = n_splits
         self.config = config or MLPConfig()
+        #: The look-back window the forecaster was trained on; a forecast
+        #: splits the same window of recent history into its inputs.
+        self.input_seconds: Optional[float] = None
         self._network = MLP(
             input_size=n_categories * n_splits, output_size=n_categories, config=self.config
         )
@@ -185,6 +189,7 @@ class ContentForecaster:
                 f"(categories {dataset.n_categories} vs {self.n_categories}, "
                 f"splits {dataset.n_splits} vs {self.n_splits})"
             )
+        self.input_seconds = dataset.input_seconds
         return self._network.fit(dataset.inputs, dataset.targets, epochs=epochs)
 
     @property
@@ -204,6 +209,7 @@ class ContentForecaster:
         if other.n_categories != self.n_categories or other.n_splits != self.n_splits:
             return False
         self._network.restore_parameters(other.get_parameters())
+        self.input_seconds = other.input_seconds
         return True
 
     # ------------------------------------------------------------------ #
@@ -213,9 +219,12 @@ class ContentForecaster:
         """Flat copy of the network's weights and biases."""
         return self._network.get_parameters()
 
-    def restore_parameters(self, parameters: Sequence[np.ndarray]) -> None:
-        """Load trained weights and mark the forecaster fitted."""
+    def restore_parameters(
+        self, parameters: Sequence[np.ndarray], input_seconds: float
+    ) -> None:
+        """Load trained weights and their look-back window; marks the forecaster fitted."""
         self._network.restore_parameters(parameters)
+        self.input_seconds = input_seconds
 
     # ------------------------------------------------------------------ #
     # Prediction

@@ -10,11 +10,17 @@ boundary; every workload in :mod:`repro.workloads` implements
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+
+import numpy as np
 
 from repro.core.knobs import KnobConfiguration, KnobSpace
 from repro.video.frame import VideoSegment
+from repro.video.stream import SegmentColumns
 from repro.vision.dag import TaskGraph
+
+if TYPE_CHECKING:
+    from repro.core.offline import EvaluationCache
 
 
 @dataclass
@@ -44,7 +50,10 @@ class VETLWorkload(Protocol):
     """A user-defined V-ETL job: knobs, a task graph per configuration, quality.
 
     Implementations must be deterministic given (configuration, segment) so
-    offline profiling and online ingestion agree.
+    offline profiling and online ingestion agree.  These are all the methods
+    the ingestion engine and the offline pipeline call on a workload;
+    :class:`~repro.workloads.base.BaseWorkload` gives every one but
+    ``build_task_graph`` and ``evaluate`` a default.
     """
 
     name: str
@@ -77,23 +86,28 @@ class VETLWorkload(Protocol):
         """A typical segment used for profiling runtimes and placements."""
         ...
 
+    def quality_weight_columns(self, columns: SegmentColumns) -> np.ndarray:
+        """Each segment's weight in the entity-weighted quality, one per row."""
+        ...
+
+    def runtime_scale(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> float:
+        """Factor on the profiled runtime and cost of processing ``segment``."""
+        ...
+
 
 def evaluate_pairs(
     workload: VETLWorkload,
     pairs: Sequence[Tuple[KnobConfiguration, VideoSegment]],
-    evaluator: Optional[Any] = None,
+    evaluator: Optional["EvaluationCache"] = None,
 ) -> List[SegmentOutcome]:
     """Batched evaluation through an optional shared evaluation cache.
 
-    ``evaluator`` is anything exposing ``evaluate_many`` (typically
-    :class:`~repro.core.offline.EvaluationCache`); without one, the batch goes
-    to the workload's own ``evaluate_many`` when present, falling back to a
-    plain loop for minimal protocol implementations.
+    Without ``evaluator`` the batch goes to the workload's own
+    ``evaluate_many``.
     """
     pairs = list(pairs)
     if evaluator is not None:
         return evaluator.evaluate_many(pairs)
-    evaluate_many = getattr(workload, "evaluate_many", None)
-    if evaluate_many is not None:
-        return evaluate_many(pairs)
-    return [workload.evaluate(configuration, segment) for configuration, segment in pairs]
+    return workload.evaluate_many(pairs)

@@ -21,7 +21,7 @@ Underneath the stages sit two shared mechanisms:
   ``(configuration, segment_index)``, so the quality-vector sampling loop, the
   history labeling pass, the diverse-segment sampling and the hill climbs stop
   re-evaluating the same pair across stages; and
-* pluggable executors (:class:`SerialExecutor`, :class:`ProcessExecutor`) —
+* two executors (:class:`SerialExecutor`, :class:`ProcessExecutor`) —
   every stage routes its independent work units (evaluation batches, the
   per-segment hill climbs) through ``executor.map``, so the offline phase
   scales with cores.  Evaluations are deterministic given ``(configuration,
@@ -65,7 +65,7 @@ from repro.video.stream import SyntheticVideoSource
 SECONDS_PER_DAY = 86_400.0
 
 #: Bumped whenever a stage's on-disk artifact layout changes incompatibly.
-STAGE_CACHE_FORMAT_VERSION = 1
+STAGE_CACHE_FORMAT_VERSION = 2
 
 
 # --------------------------------------------------------------------- #
@@ -117,6 +117,9 @@ class SerialExecutor:
         """Apply ``fn`` to every item sequentially, preserving order."""
         return [fn(item) for item in items]
 
+    def close(self) -> None:
+        """Nothing to release: serial work runs inline."""
+
 
 class ProcessExecutor:
     """Fans work units out over a persistent process pool.
@@ -162,8 +165,8 @@ class ProcessExecutor:
         self.close()
 
 
-#: Anything with ``workers`` and ``map`` — the two built-ins or a user's own.
-OfflineExecutor = Union[SerialExecutor, ProcessExecutor, Any]
+#: The executors the offline stages run their work units on.
+OfflineExecutor = Union[SerialExecutor, ProcessExecutor]
 
 
 def resolve_executor(executor: Optional[Union[int, OfflineExecutor]]) -> OfflineExecutor:
@@ -172,9 +175,10 @@ def resolve_executor(executor: Optional[Union[int, OfflineExecutor]]) -> Offline
         return SerialExecutor()
     if isinstance(executor, int):
         return SerialExecutor() if executor <= 1 else ProcessExecutor(executor)
-    if not hasattr(executor, "map") or not hasattr(executor, "workers"):
+    if not isinstance(executor, (SerialExecutor, ProcessExecutor)):
         raise ConfigurationError(
-            "executor must be None, a worker count, or provide map() and workers"
+            "executor must be None, a worker count, a SerialExecutor or a "
+            f"ProcessExecutor, not {type(executor).__name__}"
         )
     return executor
 
@@ -233,9 +237,9 @@ class EvaluationCache:
         if workload is not self.workload:
             raise ConfigurationError(
                 "this EvaluationCache was built for workload "
-                f"{getattr(self.workload, 'name', self.workload)!r} and cannot be "
+                f"{self.workload.name!r} and cannot be "
                 f"shared with a different workload object "
-                f"({getattr(workload, 'name', workload)!r}): cached outcomes would "
+                f"({workload.name!r}): cached outcomes would "
                 "answer for the wrong job"
             )
         if self._source_key is None:
@@ -295,7 +299,7 @@ class EvaluationCache:
     def _evaluate_pending(
         self, pairs: List[Tuple[KnobConfiguration, VideoSegment]]
     ) -> List[SegmentOutcome]:
-        workers = getattr(self.executor, "workers", 1)
+        workers = self.executor.workers
         if workers <= 1 or len(pairs) < 2 * workers:
             return evaluate_pairs(self.workload, pairs)
         n_chunks = min(len(pairs), workers * 4)
@@ -678,9 +682,7 @@ class OfflinePipeline:
             return self._run_stages()
         finally:
             if self._owns_executor:
-                close = getattr(self.executor, "close", None)
-                if close is not None:
-                    close()
+                self.executor.close()
 
     def _run_stages(self) -> OfflineFitResult:
         report = OfflinePhaseReport()
@@ -1090,6 +1092,7 @@ class OfflinePipeline:
             document["forecaster"] = {
                 "n_categories": forecaster.n_categories,
                 "n_splits": forecaster.n_splits,
+                "input_seconds": forecaster.input_seconds,
                 "n_parameters": len(parameters),
             }
             for index, parameter in enumerate(parameters):
@@ -1117,7 +1120,8 @@ class OfflinePipeline:
                 [
                     arrays[f"parameter_{index}"]
                     for index in range(int(serialized["n_parameters"]))
-                ]
+                ],
+                float(serialized["input_seconds"]),
             )
             context["forecaster"] = forecaster
 
@@ -1198,9 +1202,5 @@ def label_quality_series(
         (configuration, segment)
         for segment in label_segments(source, start_time, end_time, period_seconds)
     ]
-    outcomes = (
-        evaluator.evaluate_many(pairs)
-        if evaluator is not None
-        else evaluate_pairs(workload, pairs)
-    )
+    outcomes = evaluate_pairs(workload, pairs, evaluator)
     return np.array([outcome.reported_quality for outcome in outcomes], dtype=float)

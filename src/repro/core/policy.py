@@ -43,7 +43,6 @@ class SkyscraperPolicy:
             (default 4 s, Appendix I).
         planned_interval_seconds: how often the knob planner re-plans
             (default 2 days, Appendix I).
-        forecast_input_seconds: look-back window the forecaster receives.
         initial_plan: the plan of ``initial_forecast`` under the budget.
             :meth:`Skyscraper.build_policy
             <repro.core.skyscraper.Skyscraper.build_policy>` solves it and
@@ -64,7 +63,6 @@ class SkyscraperPolicy:
         forecaster: Optional[ContentForecaster] = None,
         switch_period_seconds: float = 4.0,
         planned_interval_seconds: float = 2 * 86_400.0,
-        forecast_input_seconds: float = 2 * 86_400.0,
         *,
         initial_plan: KnobPlan,
     ):
@@ -80,7 +78,6 @@ class SkyscraperPolicy:
         self.segment_duration = segment_duration
         self.switch_period_seconds = switch_period_seconds
         self.planned_interval_seconds = planned_interval_seconds
-        self.forecast_input_seconds = forecast_input_seconds
 
         self.switcher = KnobSwitcher(
             profiles=profiles,
@@ -161,7 +158,7 @@ class SkyscraperPolicy:
         if self.forecaster is None or not self.forecaster.is_fitted or not history:
             return self._historical_distribution(history, n_categories)
         n_splits = self.forecaster.n_splits
-        window = self.forecast_input_seconds
+        window = self.forecaster.input_seconds
         split_length = window / n_splits
         histograms = []
         for split_index in range(n_splits):

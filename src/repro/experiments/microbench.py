@@ -8,7 +8,7 @@ the ``benchmarks/`` directory thin.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -311,11 +311,8 @@ def forecaster_training_size_mae(
     train, test = dataset.split(0.7)
     results: Dict[int, float] = {}
     for count in sample_counts:
-        subset = ForecastDataset(
-            inputs=train.inputs[: max(count, 2)],
-            targets=train.targets[: max(count, 2)],
-            n_categories=n_categories,
-            n_splits=n_splits,
+        subset = replace(
+            train, inputs=train.inputs[: max(count, 2)], targets=train.targets[: max(count, 2)]
         )
         forecaster = ContentForecaster(n_categories=n_categories, n_splits=n_splits)
         forecaster.fit(subset)

@@ -3,30 +3,31 @@
 One object runs every system of the evaluation through the same ingestion
 engine: :class:`ExperimentRunner` resolves system names through the policy
 registry (:mod:`repro.registry`), re-provisions the fitted bundle for the
-requested hardware, and executes the run.  Sweeps over (system, machine tier)
-points optionally fan out over processes for multi-core speedup.
+requested hardware, and executes the run.
 
 The module also owns the experiment bundle machinery: ``ExperimentConfig``
 (the common knobs of a run), ``SystemBundle`` (a fitted Skyscraper plus its
-setup), and ``prepare_bundle`` — which, given ``cache_dir=``, persists the
-offline phase's artifacts and reloads them on subsequent calls instead of
-re-fitting.
+setup), and ``prepare_bundle`` — which, given ``cache_dir=``, persists each
+offline stage's artifacts and resumes later fits from them.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cost import CostModel, MachineType
-from repro.core.artifacts import OfflineArtifacts
 from repro.core.engine import IngestionEngine, IngestionResult
-from repro.core.fleet import FleetEngine, FleetResult, FleetStream, Scheduler, scheduler_names
+from repro.core.fleet import (
+    BudgetLedger,
+    FleetEngine,
+    FleetResult,
+    FleetStream,
+    Scheduler,
+    scheduler_names,
+)
 from repro.core.offline import OfflinePhaseReport
 from repro.core.skyscraper import Skyscraper, SkyscraperResources
 from repro.errors import ConfigurationError
@@ -34,10 +35,8 @@ from repro.experiments.hardware import MACHINE_TIERS, machine_for
 from repro.experiments.results import CostQualityPoint, FleetPoint, fleet_point
 from repro.registry import (
     AssignmentReplayPolicy,
-    PolicySpec,
     RunContext,
     create_policy,
-    ensure_registered,
     policy_spec,
 )
 from repro.workloads.base import WorkloadSetup
@@ -94,18 +93,14 @@ class SystemBundle:
     """A fitted Skyscraper instance plus the setup it was fitted on.
 
     ``offline_report`` is the :class:`~repro.core.offline.OfflinePhaseReport`
-    of the ``fit`` that produced the bundle (``None`` when the bundle was
-    restored from serialized artifacts instead of fitted), and
-    ``restored_from_cache`` records whether :func:`prepare_bundle` loaded the
-    bundle from its whole-bundle artifact cache — the figure-reproduction
-    suite uses both for its cache-hit accounting.
+    of the ``fit`` that produced the bundle; the figure-reproduction suite
+    reads its stage-cache hits.
     """
 
     setup: WorkloadSetup
     config: ExperimentConfig
     skyscraper: Skyscraper
-    offline_report: Optional[OfflinePhaseReport] = None
-    restored_from_cache: bool = False
+    offline_report: OfflinePhaseReport
 
     def reprovision(
         self,
@@ -132,61 +127,23 @@ class SystemBundle:
         return self.skyscraper.with_resources(resources)
 
 
-def _bundle_cache_key(
-    setup: WorkloadSetup, config: ExperimentConfig, reference_cores: int
-) -> str:
-    """A stable directory name for one (setup, config, cores) combination.
-
-    The key must distinguish setups beyond the workload name: two COVID
-    setups with different stream seeds or segment lengths produce different
-    offline artifacts, so everything identifying the stream goes into the
-    hashed payload.
-    """
-    workload = setup.workload
-    content_model = getattr(workload, "content_model", None)
-    payload = {
-        "format_version": 2,
-        "workload": workload.name,
-        "workload_seed": getattr(workload, "seed", None),
-        "content_seed": getattr(content_model, "seed", None),
-        "stream": asdict(workload.stream_config)
-        if hasattr(workload, "stream_config")
-        else None,
-        "setup_days": [setup.history_days, setup.online_days],
-        "config": asdict(config),
-        "reference_cores": reference_cores,
-    }
-    digest = hashlib.blake2b(
-        json.dumps(payload, sort_keys=True).encode(), digest_size=10
-    ).hexdigest()
-    return f"{setup.workload.name}-{digest}"
-
-
 def prepare_bundle(
     setup: WorkloadSetup,
     config: Optional[ExperimentConfig] = None,
     reference_cores: int = 8,
     cache_dir: Optional[Union[str, Path]] = None,
     fit_workers: Optional[int] = None,
-    artifact_cache: bool = True,
 ) -> SystemBundle:
     """Run the offline phase once for a workload setup.
 
-    With ``cache_dir`` set, the offline artifacts are saved under a key
-    derived from the workload and configuration, and later calls restore the
-    fitted state from disk instead of re-running ``fit`` — the whole
-    benchmark suite then fits each workload exactly once.  The cache is
-    per-stage underneath (``cache_dir/stages``): even when the whole-bundle
-    key misses — say only ``n_categories`` changed — ``fit`` resumes from the
-    cached upstream stage artifacts instead of re-evaluating the history.
+    With ``cache_dir`` set, ``fit`` persists every cacheable stage's artifact
+    under ``cache_dir/stages`` and later calls resume from them: a repeated
+    call re-evaluates nothing, and one that changes only a downstream
+    parameter (say ``n_categories``) reuses the upstream stages.  ``fit``
+    always runs, so its :class:`~repro.core.offline.OfflinePhaseReport`, with
+    the per-stage cache hits, lands on ``SystemBundle.offline_report``.
     ``fit_workers`` > 1 runs the offline stages' independent work units on a
     process pool.
-
-    ``artifact_cache=False`` disables only the whole-bundle restore/save while
-    keeping the per-stage cache, so ``fit`` always runs and its
-    :class:`~repro.core.offline.OfflinePhaseReport` (with per-stage cache-hit
-    counters) lands on ``SystemBundle.offline_report`` — the accounting mode
-    the figure-reproduction suite runs in.
     """
     config = config or ExperimentConfig(
         history_days=setup.history_days, online_days=setup.online_days
@@ -196,23 +153,9 @@ def prepare_bundle(
         buffer_bytes=config.buffer_bytes,
         cloud_budget_per_day=config.cloud_budget_per_day,
     )
-
-    cache_path: Optional[Path] = None
-    stage_cache_dir: Optional[Path] = None
-    if cache_dir is not None:
-        cache_root = Path(cache_dir).expanduser()
-        cache_path = cache_root / _bundle_cache_key(setup, config, reference_cores)
-        if artifact_cache and (cache_path / "artifacts.json").exists():
-            artifacts = OfflineArtifacts.load(cache_path)
-            skyscraper = artifacts.restore(setup.workload, resources)
-            return SystemBundle(
-                setup=setup,
-                config=config,
-                skyscraper=skyscraper,
-                restored_from_cache=True,
-            )
-        stage_cache_dir = cache_root / "stages"
-
+    stage_cache_dir = (
+        Path(cache_dir).expanduser() / "stages" if cache_dir is not None else None
+    )
     skyscraper = Skyscraper(
         setup.workload,
         resources,
@@ -235,8 +178,6 @@ def prepare_bundle(
         stage_cache_dir=stage_cache_dir,
         **fit_overrides,
     )
-    if artifact_cache and cache_path is not None:
-        skyscraper.export_artifacts().save(cache_path)
     return SystemBundle(
         setup=setup, config=config, skyscraper=skyscraper, offline_report=report
     )
@@ -261,8 +202,6 @@ class ExperimentRunner:
 
     Args:
         bundle: the fitted workload bundle (see :func:`prepare_bundle`).
-        max_workers: default process-parallelism of :meth:`sweep`; ``None``
-            or ``1`` runs sequentially.
 
     Example::
 
@@ -272,10 +211,9 @@ class ExperimentRunner:
                               tiers=["e2-standard-4", "e2-standard-16"])
     """
 
-    def __init__(self, bundle: SystemBundle, max_workers: Optional[int] = None):
-        """Wrap a fitted bundle; ``max_workers`` sets the default sweep pool."""
+    def __init__(self, bundle: SystemBundle):
+        """Wrap a fitted bundle."""
         self.bundle = bundle
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------ #
     # Single runs
@@ -383,8 +321,8 @@ class ExperimentRunner:
         buffer_bytes: Optional[int] = None,
         keep_traces: bool = False,
         cloud_budget_per_day: Optional[float] = None,
-        ledger=None,
-        tenant_ledgers=None,
+        ledger: Optional[BudgetLedger] = None,
+        tenant_ledgers: Optional[Dict[str, BudgetLedger]] = None,
         **policy_options,
     ) -> FleetResult:
         """Ingest a fleet of streams concurrently over the bundle's window.
@@ -598,59 +536,23 @@ class ExperimentRunner:
         systems: Sequence[str] = ("static", "chameleon*", "skyscraper"),
         tiers: Optional[Sequence[str]] = None,
         skyscraper_tiers: Optional[Sequence[str]] = None,
-        max_workers: Optional[int] = None,
     ) -> List[CostQualityPoint]:
         """Every system on every machine tier (the Figure 4 sweep).
 
         Skyscraper is only run on the smaller tiers by default (as in
-        Table 2, where it already reaches peak quality on 4-8 vCPUs).  With
-        ``max_workers > 1`` the (system, tier) points run in a process pool;
-        point order in the returned list is deterministic either way.
+        Table 2, where it already reaches peak quality on 4-8 vCPUs).
+        Points come back tier by tier, in ``systems`` order within a tier.
         """
         tiers = list(tiers) if tiers is not None else list(MACHINE_TIERS)
         skyscraper_tiers = (
             list(skyscraper_tiers) if skyscraper_tiers is not None else tiers[:2]
         )
-        points_to_run: List[Tuple[str, str]] = []
-        for tier in tiers:
-            for system in systems:
-                if policy_spec(system).name == "skyscraper" and tier not in skyscraper_tiers:
-                    continue
-                points_to_run.append((system, tier))
-
-        workers = max_workers if max_workers is not None else self.max_workers
-        if workers is None or workers <= 1 or len(points_to_run) <= 1:
-            return [self.run_point(system, tier) for system, tier in points_to_run]
-
-        # The bundle and the swept policy specs are shipped once per worker
-        # through the pool initializer (not once per task): the fitted bundle
-        # is by far the largest object involved, and re-registering the specs
-        # makes runtime-registered policies resolvable under `spawn` workers.
-        specs = [policy_spec(system) for system in systems]
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(points_to_run)),
-            initializer=_init_sweep_worker,
-            initargs=(self.bundle, specs),
-        ) as executor:
-            return list(executor.map(_run_point_task, points_to_run))
-
-
-#: Per-worker state installed by :func:`_init_sweep_worker`.
-_WORKER_BUNDLE: Optional[SystemBundle] = None
-
-
-def _init_sweep_worker(bundle: SystemBundle, specs: Sequence[PolicySpec]) -> None:
-    global _WORKER_BUNDLE
-    _WORKER_BUNDLE = bundle
-    for spec in specs:
-        ensure_registered(spec)
-
-
-def _run_point_task(task: Tuple[str, str]) -> CostQualityPoint:
-    """Module-level worker so sweep points can run in a process pool."""
-    system, tier = task
-    assert _WORKER_BUNDLE is not None, "sweep worker used before initialization"
-    return ExperimentRunner(_WORKER_BUNDLE).run_point(system, tier)
+        return [
+            self.run_point(system, tier)
+            for tier in tiers
+            for system in systems
+            if policy_spec(system).name != "skyscraper" or tier in skyscraper_tiers
+        ]
 
 
 def cost_reduction_factor(points: Sequence[CostQualityPoint]) -> Optional[float]:

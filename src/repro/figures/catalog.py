@@ -1915,7 +1915,6 @@ def _run_online_adaptation(ctx: FigureContext) -> Dict[str, Any]:
             config,
             cache_dir=cache_dir,
             fit_workers=ctx.provider.fit_workers,
-            artifact_cache=False,
         )
         runner = ExperimentRunner(bundle)
         results = {}

@@ -82,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: <out>/.cache)",
     )
     run.add_argument(
-        "--artifact-cache",
-        action="store_true",
-        help="also enable the whole-bundle artifact cache (fastest re-runs; "
-        "restores bypass the per-stage cache counters)",
-    )
-    run.add_argument(
         "--report",
         default=DEFAULT_REPORT_PATH,
         help=f"status report path (default: {DEFAULT_REPORT_PATH})",
@@ -140,7 +134,6 @@ def _command_run(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         smoke=args.smoke,
         fit_workers=args.fit_workers,
-        artifact_cache=args.artifact_cache,
     )
     print(
         f"Running {len(ids)} figure spec(s) in {suite.mode} mode "

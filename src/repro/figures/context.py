@@ -2,7 +2,7 @@
 
 Figure specs never prepare workload bundles themselves — they ask the
 :class:`FigureContext` for one.  The context's :class:`BundleProvider` layers
-three caches so figures sharing an offline phase pay for it once:
+two caches so figures sharing an offline phase pay for it once:
 
 * an in-process memo: within one suite process, each distinct
   ``(workload, config)`` fits exactly once no matter how many specs ask;
@@ -10,14 +10,10 @@ three caches so figures sharing an offline phase pay for it once:
   (``cache_dir``): across processes and across suite runs, a fit resumes
   from every hardware-independent stage artifact that is still valid — a
   category sweep (``fig20``) skips the dominant history-labeling work of its
-  sibling bundles, and a second suite run re-fits from a fully warm cache;
-* optionally the whole-bundle artifact cache of
-  :func:`~repro.experiments.runner.prepare_bundle` (``artifact_cache=True``)
-  which skips ``fit`` entirely — fastest, but a restore carries no per-stage
-  counters, so the suite defaults to stage-cache-only accounting.
+  sibling bundles, and a second suite run re-fits from a fully warm cache.
 
-The provider counts fits, memo hits, whole-bundle restores, per-stage cache
-hits and deduplicated evaluations; the suite snapshots these counters around
+The provider counts fits, memo hits, per-stage cache hits and deduplicated
+evaluations; the suite snapshots these counters around
 every spec so each figure artifact records the cache behaviour it caused.
 """
 
@@ -85,13 +81,11 @@ class CacheCounters:
 
     ``stage_hits`` counts offline-pipeline stages restored from the on-disk
     stage cache; ``evaluation_hits`` counts deduplicated
-    ``workload.evaluate`` calls within fits; ``bundle_restores`` counts
-    whole-bundle artifact restores (only with ``artifact_cache=True``).
+    ``workload.evaluate`` calls within fits.
     """
 
     fits: int = 0
     memo_hits: int = 0
-    bundle_restores: int = 0
     stage_hits: int = 0
     evaluation_hits: int = 0
 
@@ -104,7 +98,6 @@ class CacheCounters:
         return {
             "fits": self.fits - before.fits,
             "memo_hits": self.memo_hits - before.memo_hits,
-            "bundle_restores": self.bundle_restores - before.bundle_restores,
             "stage_hits": self.stage_hits - before.stage_hits,
             "evaluation_hits": self.evaluation_hits - before.evaluation_hits,
         }
@@ -114,7 +107,6 @@ class CacheCounters:
         return {
             "fits": self.fits,
             "memo_hits": self.memo_hits,
-            "bundle_restores": self.bundle_restores,
             "stage_hits": self.stage_hits,
             "evaluation_hits": self.evaluation_hits,
         }
@@ -128,20 +120,16 @@ class BundleProvider:
         cache_dir: Optional[Union[str, Path]] = None,
         smoke: bool = False,
         fit_workers: Optional[int] = None,
-        artifact_cache: bool = False,
     ):
         """Args:
         cache_dir: on-disk cache root shared across processes and runs
             (``None`` disables disk caching entirely).
         smoke: size windows for CI instead of the benchmark scale.
         fit_workers: process-pool workers for each fit's internal stages.
-        artifact_cache: also use the whole-bundle artifact cache (fastest,
-            but restores carry no per-stage cache counters).
         """
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.smoke = bool(smoke)
         self.fit_workers = fit_workers
-        self.artifact_cache = bool(artifact_cache)
         self.counters = CacheCounters()
         self._bundles: Dict[Tuple[Any, ...], SystemBundle] = {}
 
@@ -180,7 +168,7 @@ class BundleProvider:
         n_categories: int = 4,
         train_forecaster: bool = False,
     ) -> SystemBundle:
-        """A fitted bundle, from the fastest cache layer that can serve it."""
+        """A fitted bundle: memoized in process, fitted through the stage cache."""
         config = self.config(
             history_days=history_days,
             online_days=online_days,
@@ -204,18 +192,11 @@ class BundleProvider:
             config,
             cache_dir=self.cache_dir,
             fit_workers=self.fit_workers,
-            artifact_cache=self.artifact_cache,
         )
-        if bundle.restored_from_cache:
-            self.counters.bundle_restores += 1
-        else:
-            self.counters.fits += 1
-            report = bundle.offline_report
-            if report is not None:
-                self.counters.stage_hits += sum(
-                    1 for hit in report.stage_cache_hits.values() if hit
-                )
-                self.counters.evaluation_hits += report.evaluation_cache_hits
+        report = bundle.offline_report
+        self.counters.fits += 1
+        self.counters.stage_hits += sum(1 for hit in report.stage_cache_hits.values() if hit)
+        self.counters.evaluation_hits += report.evaluation_cache_hits
         self._bundles[key] = bundle
         return bundle
 

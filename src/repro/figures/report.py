@@ -50,14 +50,10 @@ def _table_cell(text: str) -> str:
 
 def _cache_cell(artifact: FigureArtifact) -> str:
     cache: Dict[str, int] = artifact.meta.get("cache", {})
-    parts = [
-        f"{cache.get('fits', 0)} fit",
-        f"{cache.get('stage_hits', 0)} stage",
-        f"{cache.get('memo_hits', 0)} memo",
-    ]
-    if cache.get("bundle_restores"):
-        parts.append(f"{cache['bundle_restores']} restore")
-    return ", ".join(parts)
+    return (
+        f"{cache.get('fits', 0)} fit, {cache.get('stage_hits', 0)} stage, "
+        f"{cache.get('memo_hits', 0)} memo"
+    )
 
 
 def _checks_cell(artifact: FigureArtifact) -> str:

@@ -116,9 +116,6 @@ class FigureSuite:
             an ``out_dir`` is given.
         smoke: CI-sized windows and sweep axes instead of benchmark scale.
         fit_workers: process-pool workers inside each offline fit.
-        artifact_cache: additionally enable the whole-bundle artifact cache
-            (fastest re-runs, but whole-bundle restores bypass the per-stage
-            cache counters the artifacts report).
     """
 
     def __init__(
@@ -127,7 +124,6 @@ class FigureSuite:
         cache_dir: Optional[Union[str, Path]] = None,
         smoke: bool = False,
         fit_workers: Optional[int] = None,
-        artifact_cache: bool = False,
     ):
         self.out_dir = Path(out_dir).expanduser() if out_dir else None
         if cache_dir is None and self.out_dir is not None:
@@ -135,12 +131,8 @@ class FigureSuite:
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.smoke = bool(smoke)
         self.fit_workers = fit_workers
-        self.artifact_cache = bool(artifact_cache)
         self.provider = BundleProvider(
-            cache_dir=self.cache_dir,
-            smoke=self.smoke,
-            fit_workers=fit_workers,
-            artifact_cache=self.artifact_cache,
+            cache_dir=self.cache_dir, smoke=self.smoke, fit_workers=fit_workers
         )
 
     @property
@@ -210,7 +202,6 @@ class FigureSuite:
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "smoke": self.smoke,
             "fit_workers": self.fit_workers,
-            "artifact_cache": self.artifact_cache,
         }
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(ids)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.core.fleet import DailyBudgetLedger
+from repro.core.fleet import BudgetLedger, DailyBudgetLedger
 from repro.errors import ConfigurationError
 
 
@@ -113,8 +113,8 @@ class FleetPlan:
 class TenantSubLedger:
     """A tenant-capped view of the fleet's shared daily budget ledger.
 
-    Quacks like :class:`repro.core.fleet.DailyBudgetLedger`, so it drops
-    straight into ``FleetStream.ledger``.  ``remaining`` is the minimum of
+    A :class:`repro.core.fleet.BudgetLedger` itself, so it drops straight
+    into ``FleetStream.ledger``.  ``remaining`` is the minimum of
     the tenant's unspent cap and the parent's unspent budget; ``charge``
     records the spend in both, so per-tenant accounting and the fleet-wide
     total stay consistent.
@@ -127,16 +127,16 @@ class TenantSubLedger:
 
     def __init__(
         self,
-        parent: Any,
+        parent: BudgetLedger,
         daily_cap_dollars: float,
-        tracker: Optional[Any] = None,
+        tracker: Optional[BudgetLedger] = None,
     ):
         if daily_cap_dollars < 0:
             raise ConfigurationError("daily_cap_dollars must be non-negative")
         self.parent = parent
         self.daily_cap_dollars = daily_cap_dollars
-        self.tracker = tracker if tracker is not None else DailyBudgetLedger(
-            daily_cap_dollars
+        self.tracker: BudgetLedger = (
+            tracker if tracker is not None else DailyBudgetLedger(daily_cap_dollars)
         )
 
     def remaining(self, time: float) -> float:
@@ -165,8 +165,8 @@ class TenantSubLedger:
 
 def build_tenant_ledgers(
     plan: FleetPlan,
-    parent: Any,
-    tracker_factory: Optional[Callable[[float], Any]] = None,
+    parent: BudgetLedger,
+    tracker_factory: Optional[Callable[[float], BudgetLedger]] = None,
 ) -> Dict[str, TenantSubLedger]:
     """One :class:`TenantSubLedger` per allocation in ``plan``.
 

@@ -149,12 +149,11 @@ class PlannerQualityModel:
     @classmethod
     def from_skyscraper(cls, skyscraper) -> "PlannerQualityModel":
         """Build from a fitted :class:`repro.core.skyscraper.Skyscraper`."""
-        forecast = getattr(skyscraper.report, "initial_forecast", None)
         n_categories = int(skyscraper.categorizer.actual_categories)
         return cls(
             skyscraper.profiles,
             n_categories,
-            default_forecast=forecast,
+            default_forecast=skyscraper.report.initial_forecast,
         )
 
     def __call__(self, tenant: TenantSpec, budget: float) -> float:

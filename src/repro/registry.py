@@ -172,22 +172,6 @@ def register_policy(
     return decorate
 
 
-def ensure_registered(spec: PolicySpec) -> None:
-    """Idempotently register ``spec`` unless its name is already taken.
-
-    Process-pool workers re-import this module and therefore only see the
-    built-in registrations; the experiment runner ships the specs of the
-    systems it sweeps to each worker and re-registers them through this
-    helper, so policies registered at runtime also work under the ``spawn``
-    start method.
-    """
-    if spec.name in _REGISTRY:
-        return
-    _REGISTRY[spec.name] = spec
-    for alias in spec.aliases:
-        _ALIASES.setdefault(alias, spec.name)
-
-
 def unregister_policy(name: str) -> None:
     """Remove a registered policy (mainly for tests of the registry itself)."""
     spec = policy_spec(name)

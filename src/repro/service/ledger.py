@@ -15,10 +15,9 @@ cross-process lock:
   is the atomic switch to a fresh, zeroed bucket);
 * **no lost updates** — read-modify-write of a bucket never interleaves.
 
-The ledger quacks like :class:`~repro.core.fleet.DailyBudgetLedger`
-(``remaining`` / ``charge`` / ``spent_on`` / ``spend_by_day`` /
-``total_dollars``) so a :class:`~repro.core.fleet.FleetEngine` can use it
-directly via its ``ledger=`` hook.  Unlimited budgets take a lock-free fast
+The ledger implements :class:`~repro.core.fleet.BudgetLedger`, so a
+:class:`~repro.core.fleet.FleetEngine` can use it directly via its
+``ledger=`` hook.  Unlimited budgets take a lock-free fast
 path — ``remaining`` is a constant and zero-dollar charges are dropped —
 so fleets that never touch the cloud pay nothing for the shared ledger.
 """
@@ -77,7 +76,7 @@ class SharedDailyLedger:
         return slot
 
     # ------------------------------------------------------------------ #
-    # DailyBudgetLedger interface
+    # BudgetLedger interface
     # ------------------------------------------------------------------ #
     def spent_on(self, time: float) -> float:
         """Dollars spent during the day containing ``time``."""

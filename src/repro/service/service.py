@@ -33,7 +33,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.experiments.results import jain_fairness_index
 from repro.experiments.runner import SystemBundle
 from repro.planning.admission import AdmissionController
-from repro.planning.allocation import FleetPlan, build_tenant_ledgers
+from repro.planning.allocation import FleetPlan, TenantSubLedger, build_tenant_ledgers
 from repro.planning.demand import build_problem_from_skyscraper, derive_tenant_specs
 from repro.planning.solvers import make_planner
 from repro.planning.tenants import TenantSpec
@@ -61,6 +61,10 @@ from repro.service.worker import (
     worker_main,
 )
 from repro.workloads.fleet import FleetScenario, make_fleet_scenario
+
+#: How long the drain loop sleeps when a pass neither received results nor
+#: dispatched a batch.
+POLL_SECONDS = 0.01
 
 
 class ServiceError(ReproError):
@@ -117,9 +121,6 @@ class ServiceConfig:
     #: :func:`repro.registry.adaptive_system_name`); workers then surface
     #: drift-trigger/re-fit counters in each job outcome's metrics.
     adaptive: bool = False
-    max_batch_size: Optional[int] = None
-    poll_seconds: float = 0.01
-    ledger_horizon_days: int = 4096
     planner: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -276,7 +277,7 @@ class FleetIngestionService:
         self.scenario: Optional[FleetScenario] = None
         self.tenant_specs = dict(tenant_specs or {})
         self.fleet_plan: Optional[FleetPlan] = None
-        self.tenant_ledgers: Optional[Dict[str, Any]] = None
+        self.tenant_ledgers: Optional[Dict[str, TenantSubLedger]] = None
         budget = (
             config.cloud_budget_per_day
             if config.cloud_budget_per_day is not None
@@ -285,7 +286,6 @@ class FleetIngestionService:
         self.ledger = SharedDailyLedger(
             budget,
             base_day=SharedDailyLedger.day_of(bundle.config.online_start),
-            horizon_days=config.ledger_horizon_days,
         )
 
     # ------------------------------------------------------------------ #
@@ -533,7 +533,7 @@ class FleetIngestionService:
                 )
                 batch_seq += dispatched
                 if not progressed and not dispatched:
-                    time.sleep(self.config.poll_seconds)
+                    time.sleep(POLL_SECONDS)
         finally:
             for handle in workers.values():
                 if handle.alive and handle.process.is_alive():
@@ -694,8 +694,6 @@ class FleetIngestionService:
             by_shard.setdefault(shard, []).append(job)
         dispatched = 0
         for shard, jobs in by_shard.items():
-            if self.config.max_batch_size is not None:
-                jobs = jobs[: self.config.max_batch_size]
             handle = workers[shard]
             assignments = []
             for job in jobs:

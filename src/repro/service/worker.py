@@ -22,6 +22,7 @@ import queue
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.fleet import BudgetLedger
 from repro.experiments.runner import ExperimentRunner, SystemBundle
 from repro.registry import adaptive_system_name
 from repro.service.jobs import InjectedFaultError, classify_error
@@ -79,7 +80,7 @@ def run_batch(
     ledger: SharedDailyLedger,
     config: WorkerConfig,
     batch: List[JobAssignment],
-    tenant_ledgers: Optional[Dict[str, object]] = None,
+    tenant_ledgers: Optional[Dict[str, BudgetLedger]] = None,
 ) -> List[JobOutcome]:
     """Execute one batch of assignments through one joint fleet run.
 
@@ -193,7 +194,7 @@ def worker_main(
     ledger: SharedDailyLedger,
     inbox: "queue.Queue",
     results: "queue.Queue",
-    tenant_ledgers: Optional[Dict[str, object]] = None,
+    tenant_ledgers: Optional[Dict[str, BudgetLedger]] = None,
 ) -> None:
     """Worker process entry point: serve batches until ``stop`` (or EOF).
 

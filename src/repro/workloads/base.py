@@ -176,6 +176,17 @@ class BaseWorkload:
             )
         return np.maximum(columns.ground_truth_objects, 1).astype(float)
 
+    def runtime_scale(
+        self, configuration: KnobConfiguration, segment: VideoSegment
+    ) -> float:
+        """Factor on the profiled runtime and cost of processing ``segment``.
+
+        Profiles are measured on :meth:`representative_segment`; a workload
+        whose work grows with the content (MOSEI's live-stream count)
+        overrides this.
+        """
+        return 1.0
+
     # ------------------------------------------------------------------ #
     # Per-configuration memoization
     # ------------------------------------------------------------------ #

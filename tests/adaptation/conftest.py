@@ -38,5 +38,4 @@ def regime_bundle(regime_config, tmp_path_factory) -> SystemBundle:
         setup,
         regime_config,
         cache_dir=tmp_path_factory.mktemp("stage-cache"),
-        artifact_cache=False,
     )

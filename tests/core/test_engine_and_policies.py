@@ -166,9 +166,10 @@ def test_cloud_budget_is_enforced_per_day(fitted_skyscraper, covid_workload, cov
     assert result.cloud_dollars <= 0.05 + 1e-9
 
 
-def test_mosei_runtime_scale_is_applied(mosei_workload):
-    """The engine scales runtimes by the number of active streams for MOSEI."""
-    from repro.baselines.static import StaticPolicy
+@pytest.fixture(scope="module")
+def mosei_spike_run(mosei_workload):
+    """A static MOSEI run over a window that includes a MOSEI-HIGH spike
+    (starting at 90 min): ``(source, result)``."""
     from repro.core.profiles import build_profiles
 
     source = mosei_workload.make_source()
@@ -182,7 +183,25 @@ def test_mosei_runtime_scale_is_applied(mosei_workload):
         cluster=ClusterSpec(cores=8),
         buffer_capacity_bytes=10_000_000_000,
     )
-    # A window that includes a MOSEI-HIGH spike (starting at 90 min).
-    result = engine.run(StaticPolicy(profiles, profiles[0]), 80 * 60.0, 110 * 60.0)
+    return source, engine.run(StaticPolicy(profiles, profiles[0]), 80 * 60.0, 110 * 60.0)
+
+
+def test_mosei_runtime_scale_is_applied(mosei_spike_run):
+    """The engine scales runtimes by the number of active streams for MOSEI."""
+    _, result = mosei_spike_run
     runtimes = [trace.runtime_seconds for trace in result.traces]
     assert max(runtimes) > min(runtimes) * 1.5
+
+
+def test_mosei_quality_weights_reach_the_engine(mosei_workload, mosei_spike_run):
+    """The engine weights each arrival by the workload's own quality weight."""
+    from repro.workloads.base import BaseWorkload
+
+    source, result = mosei_spike_run
+    segments = [source.segment_at(trace.segment_index) for trace in result.traces]
+    assert len(segments) == result.segments_total
+    expected = sum(mosei_workload.quality_weight(segment) for segment in segments)
+    assert result.total_quality_weight == expected
+    # MOSEI's active-stream weights differ from the default per-object weights.
+    default = sum(BaseWorkload.quality_weight(mosei_workload, segment) for segment in segments)
+    assert expected != default

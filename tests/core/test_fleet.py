@@ -190,11 +190,12 @@ def _pend(session, covid_source, arrival_time):
     segment = covid_source.segment_at(int(arrival_time / covid_source.segment_seconds))
     session.pending.append(
         PendingSegment(
-            segment=segment,
+            position=0,
             arrival_time=arrival_time,
             occupancy_at_arrival=segment.encoded_bytes,
             arrival_ordinal=0,
             weight=1.0,
+            encoded_bytes=segment.encoded_bytes,
         )
     )
 

@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.core.artifacts import OfflineArtifacts
 from repro.core.categorizer import ContentCategorizer
 from repro.core.filtering import configuration_work
 from repro.core.forecaster import ContentForecaster, ForecastDataset
@@ -495,6 +496,15 @@ def test_resolve_executor_accepts_counts_and_instances():
     with pytest.raises(ConfigurationError):
         resolve_executor("not an executor")
 
+    class LookalikeExecutor:
+        workers = 2
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    with pytest.raises(ConfigurationError, match="LookalikeExecutor"):
+        resolve_executor(LookalikeExecutor())
+
 
 # --------------------------------------------------------------------- #
 # Presample fix: the candidate pool really has the requested size
@@ -608,3 +618,39 @@ def test_with_resources_reattaches_category_qualities(trained_skyscraper):
     original = trained_skyscraper.profiles.most_expensive().on_prem_placement
     cloned = clone.profiles.most_expensive().on_prem_placement
     assert cloned.runtime_seconds < original.runtime_seconds
+
+
+# --------------------------------------------------------------------- #
+# The online forecast reads the window the forecaster was trained on
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("restored", [False, True], ids=["fitted", "restored"])
+def test_policy_forecasts_from_the_trained_window(
+    trained_skyscraper, covid_source, tmp_path, monkeypatch, restored
+):
+    """``forecast_input_days=0.1`` trains on 8,640 s of labels, so the policy
+    splits the last 8,640 s of category history into the forecaster's inputs,
+    also after export -> save -> load -> restore."""
+    sky = trained_skyscraper
+    if restored:
+        sky.export_artifacts().save(tmp_path)
+        sky = OfflineArtifacts.load(tmp_path).restore(sky.workload, RESOURCES)
+    policy = sky.build_policy(covid_source.segment_seconds)
+    assert policy.forecaster.input_seconds == 8_640.0
+    # Make the forecast return its input histograms.
+    monkeypatch.setattr(policy.forecaster, "predict", np.asarray)
+    n_categories = sky.categorizer.actual_categories
+    uniform = np.full(n_categories, 1.0 / n_categories)
+    now = 10 * SECONDS_PER_DAY
+
+    def inputs_with_one_label(age_seconds: float) -> np.ndarray:
+        policy.switcher.category_history[:] = [(now - age_seconds, 0)]
+        return policy._forecast(now)
+
+    # A label inside the window lands in the oldest split ...
+    inside = inputs_with_one_label(8_600.0)
+    assert inside[0][0] == 1.0
+    np.testing.assert_array_equal(inside[1:], np.tile(uniform, (len(inside) - 1, 1)))
+    # ... and one just outside it is not read at all.
+    np.testing.assert_array_equal(
+        inputs_with_one_label(8_700.0), np.tile(uniform, (len(inside), 1))
+    )

@@ -1,5 +1,6 @@
 """Tests for the policy registry and the unified experiment runner."""
 
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -19,6 +20,9 @@ from repro.registry import (
     unregister_policy,
 )
 from repro.workloads.covid import make_covid_setup
+
+#: The offline stages a fit without a forecaster persists in the stage cache.
+CACHED_STAGES = ("sample_segments", "filter_configurations", "content_categories", "label_history")
 
 
 @pytest.fixture(scope="module")
@@ -140,40 +144,8 @@ def test_sweep_shapes_and_labels(small_bundle):
     assert static_points[0].total_dollars < static_points[1].total_dollars
 
 
-def test_parallel_sweep_matches_sequential(small_bundle):
-    runner = ExperimentRunner(small_bundle)
-    kwargs = dict(
-        systems=("static", "skyscraper"),
-        tiers=["e2-standard-4", "e2-standard-8"],
-        skyscraper_tiers=["e2-standard-4"],
-    )
-    sequential = runner.sweep(**kwargs)
-    parallel = runner.sweep(max_workers=2, **kwargs)
-    assert [asdict(point) for point in parallel] == [
-        asdict(point) for point in sequential
-    ]
-
-
-def test_parallel_sweep_resolves_runtime_registered_policies(small_bundle):
-    """Specs are shipped to pool workers, so custom policies sweep fine."""
-
-    @register_policy("cheapest-sweep-test")
-    def _cheapest(context):
-        return StaticPolicy(context.profiles, context.profiles.cheapest())
-
-    try:
-        points = ExperimentRunner(small_bundle).sweep(
-            systems=("cheapest-sweep-test",),
-            tiers=["e2-standard-4", "e2-standard-8"],
-            max_workers=2,
-        )
-        assert [point.system for point in points] == ["cheapest-sweep-test"] * 2
-    finally:
-        unregister_policy("cheapest-sweep-test")
-
-
 def test_prepare_bundle_cache_round_trip(tmp_path):
-    """fit → cache → reload produces identical ingestion results."""
+    """A second call resumes every cacheable stage and ingests identically."""
     setup = make_covid_setup(history_days=0.5, online_days=0.05)
     config = ExperimentConfig(
         history_days=0.5,
@@ -185,19 +157,20 @@ def test_prepare_bundle_cache_round_trip(tmp_path):
     )
     cache_dir = tmp_path / "bundles"
     first = prepare_bundle(setup, config, cache_dir=cache_dir)
-    bundle_dirs = [path for path in cache_dir.iterdir() if path.name != "stages"]
-    assert len(bundle_dirs) == 1 and (bundle_dirs[0] / "artifacts.json").exists()
-    # The per-stage cache is populated alongside the whole-bundle artifacts.
-    assert any((cache_dir / "stages").iterdir())
+    assert not any(first.offline_report.stage_cache_hits.values())
+    assert [path.name for path in cache_dir.iterdir()] == ["stages"]
 
     second = prepare_bundle(setup, config, cache_dir=cache_dir)
+    hits = second.offline_report.stage_cache_hits
+    assert {stage for stage, hit in hits.items() if hit} == set(CACHED_STAGES)
+    assert second.offline_report.evaluation_cache_misses == 0
     result_first = ExperimentRunner(first).run("skyscraper", cores=4)
     result_second = ExperimentRunner(second).run("skyscraper", cores=4)
     assert asdict(result_first) == asdict(result_second)
 
 
 def test_prepare_bundle_cache_distinguishes_stream_seeds(tmp_path):
-    """Two setups differing only in the stream seed must not share a cache entry."""
+    """Two setups differing only in the stream seed must not share a stage entry."""
     config = ExperimentConfig(
         history_days=0.5,
         online_days=0.02,
@@ -206,17 +179,19 @@ def test_prepare_bundle_cache_distinguishes_stream_seeds(tmp_path):
         n_categories=3,
     )
     cache_dir = tmp_path / "bundles"
-    prepare_bundle(
-        make_covid_setup(history_days=0.5, online_days=0.02, seed=7),
-        config,
-        cache_dir=cache_dir,
+    bundles = [
+        prepare_bundle(
+            make_covid_setup(history_days=0.5, online_days=0.02, seed=seed),
+            config,
+            cache_dir=cache_dir,
+        )
+        for seed in (7, 8)
+    ]
+    assert not any(bundles[1].offline_report.stage_cache_hits.values())
+    entries = Counter(
+        path.name.rsplit("-", 1)[0] for path in (cache_dir / "stages").iterdir()
     )
-    prepare_bundle(
-        make_covid_setup(history_days=0.5, online_days=0.02, seed=8),
-        config,
-        cache_dir=cache_dir,
-    )
-    assert len([path for path in cache_dir.iterdir() if path.name != "stages"]) == 2
+    assert entries == {stage: 2 for stage in CACHED_STAGES}
 
 
 # --------------------------------------------------------------------- #

@@ -187,22 +187,6 @@ def test_second_provider_hits_the_stage_cache(tmp_path):
     assert any(bundle.offline_report.stage_cache_hits.values())
 
 
-def test_artifact_cache_mode_restores_without_fitting(tmp_path):
-    cold = BundleProvider(cache_dir=tmp_path, smoke=True, artifact_cache=True)
-    fitted = cold.bundle("covid")
-    assert not fitted.restored_from_cache
-
-    warm = BundleProvider(cache_dir=tmp_path, smoke=True, artifact_cache=True)
-    restored = warm.bundle("covid")
-    assert restored.restored_from_cache
-    assert warm.counters.bundle_restores == 1 and warm.counters.fits == 0
-    # The restore is exact: same profiles, same categories.
-    assert (
-        restored.skyscraper.categorizer.actual_categories
-        == fitted.skyscraper.categorizer.actual_categories
-    )
-
-
 # ------------------------------------------------------------------ #
 # REPRODUCTION.md generation
 # ------------------------------------------------------------------ #
