@@ -4,7 +4,9 @@ Measures the figure-suite-critical kernels side by side with the frozen
 pre-vectorization implementations in ``repro.core.reference``:
 
 * ``content_states`` — ``ContentModel.states_at`` over one batch of
-  timestamps vs a ``scalar_state_at`` loop;
+  timestamps vs a ``scalar_state_at`` loop, both over warm burst schedules;
+* ``burst_schedule`` — cold burst schedules of fresh (seed, day) models:
+  the live ``ContentModel._bursts_for_day`` vs ``frozen_bursts_for_day``;
 * ``segment_record`` — ``SyntheticVideoSource.record`` (one columnar pass)
   vs the ``scalar_segments`` generator;
 * ``switcher_select`` — the switcher's pruned ``PlacementTable.select``
@@ -40,6 +42,7 @@ from benchmarks.common import append_trajectory, emit_bench, print_header
 
 from repro.core.fleet import FleetEngine, FleetStream
 from repro.core.reference import (
+    frozen_bursts_for_day,
     frozen_twin,
     reference_fleet_run,
     scalar_segments,
@@ -94,6 +97,7 @@ def bench_content_states(source, n_timestamps: int) -> Dict[str, Any]:
         shift = getattr(model, "shift_seconds", 0.0)
         return [scalar_state_at(base, ts + shift) for ts in timestamps]
 
+    columnar()  # generate every burst schedule once, so both sides read them warm
     columns, columnar_s = _timed(columnar)
     states, scalar_s = _timed(scalar)
     parity = all(
@@ -105,6 +109,39 @@ def bench_content_states(source, n_timestamps: int) -> Dict[str, Any]:
     return {
         "kernel": "content_states",
         "n": n_timestamps,
+        "scalar_s": round(scalar_s, 4),
+        "columnar_s": round(columnar_s, 4),
+        "speedup": round(scalar_s / columnar_s, 2),
+        "parity": parity,
+    }
+
+
+def bench_burst_schedule(model, n_pairs: int) -> Dict[str, Any]:
+    """Cold burst schedules: the live generator vs the frozen one.
+
+    Each (seed, day) pair gets a fresh model, so the live side generates
+    every schedule from cold; the frozen side never reads the cache.  Parity
+    compares dtype and bytes of all three arrays.
+    """
+    pairs = [(model.with_seed(seed), seed % 7) for seed in range(n_pairs)]
+
+    def columnar():
+        return [fresh._bursts_for_day(day) for fresh, day in pairs]
+
+    def scalar():
+        return [frozen_bursts_for_day(fresh, day) for fresh, day in pairs]
+
+    live, columnar_s = _timed(columnar)
+    frozen, scalar_s = _timed(scalar)
+    parity = all(
+        ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        for live_arrays, frozen_arrays in zip(live, frozen)
+        for ours, theirs in zip(live_arrays, frozen_arrays)
+    )
+    return {
+        "kernel": "burst_schedule",
+        "n": n_pairs,
+        "bursts": sum(int(starts.size) for starts, _, _ in live),
         "scalar_s": round(scalar_s, 4),
         "columnar_s": round(columnar_s, 4),
         "speedup": round(scalar_s / columnar_s, 2),
@@ -285,6 +322,7 @@ def run_hotpath_bench(smoke: bool = False) -> Dict[str, Any]:
 
     kernels = [
         bench_content_states(source, 20_000 if smoke else 200_000),
+        bench_burst_schedule(source.content_model, 16 if smoke else 64),
         bench_segment_record(source, 4_320.0 if smoke else 86_400.0),
         bench_switcher_select(context, 2_000 if smoke else 20_000),
         bench_fleet_scaling(runner, bundle, 8 if smoke else FLEET_STREAMS),

@@ -34,6 +34,10 @@ The live switcher scans only the non-dominated placements, as lists.
 :func:`use_frozen_switcher` gives a built policy that twin, so the reference
 side of a fleet comparison decides with it.
 
+So is a camera-day's burst schedule (:func:`frozen_bursts_for_day`):
+numpy's ``uniform``/``exponential`` calls and one sorted record per burst,
+which the live ``ContentModel._bursts_for_day`` must match bit for bit.
+
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
 change of the engine.
@@ -91,6 +95,46 @@ def _scalar_burst_intensity(model: ContentModel, timestamp: float) -> float:
         phase = (timestamp - starts[active]) / durations[active]
         total += float(np.sum(magnitudes[active] * np.sin(np.pi * phase)))
     return total
+
+
+@dataclass(frozen=True)
+class _FrozenBurst:
+    """One burst of a frozen schedule, sorted by ``start``."""
+
+    start: float
+    duration: float
+    magnitude: float
+
+
+def frozen_bursts_for_day(
+    model: ContentModel, day: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The original ``ContentModel._bursts_for_day``, draw for draw.
+
+    Starts, durations and magnitudes of one camera-day's bursts, sorted by
+    start.  It neither reads nor fills the model's schedule cache, so every
+    call generates the day from cold.
+    """
+    rng = np.random.default_rng((model.seed * 1_000_003 + day * 7_919) & 0xFFFFFFFF)
+    expected = model.burst_rate_per_hour * 24.0
+    count = int(rng.poisson(expected)) if expected > 0 else 0
+    bursts: List[_FrozenBurst] = []
+    day_start = day * SECONDS_PER_DAY
+    for _ in range(count):
+        start = day_start + rng.uniform(0.0, SECONDS_PER_DAY)
+        duration = max(rng.exponential(model.burst_duration_seconds), 5.0)
+        # Bursts are more likely and stronger during active hours.
+        weight = model.diurnal.activity(start)
+        if rng.uniform() > 0.25 + 0.75 * weight:
+            continue
+        magnitude = max(rng.normal(model.burst_magnitude, model.burst_magnitude * 0.4), 0.05)
+        bursts.append(_FrozenBurst(start=start, duration=duration, magnitude=magnitude))
+    bursts.sort(key=lambda burst: burst.start)
+    return (
+        np.array([burst.start for burst in bursts], dtype=float),
+        np.array([burst.duration for burst in bursts], dtype=float),
+        np.array([burst.magnitude for burst in bursts], dtype=float),
+    )
 
 
 def _scalar_smooth_noise(model: ContentModel, timestamp: float) -> float:

@@ -20,7 +20,9 @@ queries of the same timestamp agree bit for bit.  Relative to the frozen
 pre-vectorization scalar math (kept in :mod:`repro.core.reference`) values
 may differ by a few ulps where ``np.exp``/``np.power`` and
 ``math.exp``/``math.pow`` disagree in the last bit; the parity tests pin
-that tolerance.
+that tolerance.  Each camera-day's burst schedule is one seeded scalar
+draw sequence, generated on first use and cached per model, and it equals
+:func:`repro.core.reference.frozen_bursts_for_day` bit for bit.
 """
 
 from __future__ import annotations
@@ -278,21 +280,6 @@ class RegimeSchedule:
         return (self.boundaries_seconds, self.activity_shifts, self.burst_scales)
 
 
-@dataclass(frozen=True)
-class _Burst:
-    """A short random event (e.g. a pedestrian group passing the camera)."""
-
-    start: float
-    duration: float
-    magnitude: float
-
-    def intensity(self, timestamp: float) -> float:
-        if timestamp < self.start or timestamp >= self.start + self.duration:
-            return 0.0
-        phase = (timestamp - self.start) / self.duration
-        return float(self.magnitude * math.sin(math.pi * phase))
-
-
 class ContentModel:
     """Deterministic generator of :class:`ContentState` values.
 
@@ -332,6 +319,8 @@ class ContentModel:
             raise ConfigurationError("burst_rate_per_hour must be non-negative")
         if burst_duration_seconds <= 0:
             raise ConfigurationError("burst_duration_seconds must be positive")
+        if burst_magnitude < 0:
+            raise ConfigurationError("burst_magnitude must be non-negative")
         self.seed = seed
         self.diurnal = diurnal or DiurnalProfile()
         self.burst_rate_per_hour = burst_rate_per_hour
@@ -497,22 +486,41 @@ class ContentModel:
         rng = np.random.default_rng((self.seed * 1_000_003 + day * 7_919) & 0xFFFFFFFF)
         expected = self.burst_rate_per_hour * 24.0
         count = int(rng.poisson(expected)) if expected > 0 else 0
-        bursts: List[_Burst] = []
+        # One seeded scalar draw sequence per day: per burst a uniform start,
+        # an exponential duration, a uniform acceptance test and, only for an
+        # accepted burst, a normal magnitude.  Exponential and normal draws
+        # consume a variable number of words, so no batched call reproduces
+        # the sequence.  numpy computes ``uniform(0, D)`` and
+        # ``exponential(s)`` as one rounded product of the ``random()`` and
+        # ``standard_exponential()`` draws, so scaling those here is exact;
+        # ``normal(loc, s)`` is a multiply-add numpy's C may fuse, so it stays.
+        random = rng.random
+        standard_exponential = rng.standard_exponential
+        normal = rng.normal
+        activity = self.diurnal.activity
+        mean_duration = self.burst_duration_seconds
+        mean_magnitude = self.burst_magnitude
+        spread = mean_magnitude * 0.4
         day_start = day * SECONDS_PER_DAY
+        starts: List[float] = []
+        durations: List[float] = []
+        magnitudes: List[float] = []
         for _ in range(count):
-            start = day_start + rng.uniform(0.0, SECONDS_PER_DAY)
-            duration = max(rng.exponential(self.burst_duration_seconds), 5.0)
+            start = day_start + SECONDS_PER_DAY * random()
+            duration = max(mean_duration * standard_exponential(), 5.0)
             # Bursts are more likely and stronger during active hours.
-            weight = self.diurnal.activity(start)
-            if rng.uniform() > 0.25 + 0.75 * weight:
+            if random() > 0.25 + 0.75 * activity(start):
                 continue
-            magnitude = max(rng.normal(self.burst_magnitude, self.burst_magnitude * 0.4), 0.05)
-            bursts.append(_Burst(start=start, duration=duration, magnitude=magnitude))
-        bursts.sort(key=lambda burst: burst.start)
+            starts.append(start)
+            durations.append(duration)
+            magnitudes.append(max(normal(mean_magnitude, spread), 0.05))
+        # A stable sort keeps equal starts in draw order, like list.sort.
+        start_column = np.array(starts, dtype=float)
+        order = np.argsort(start_column, kind="stable")
         arrays = (
-            np.array([burst.start for burst in bursts], dtype=float),
-            np.array([burst.duration for burst in bursts], dtype=float),
-            np.array([burst.magnitude for burst in bursts], dtype=float),
+            start_column[order],
+            np.array(durations, dtype=float)[order],
+            np.array(magnitudes, dtype=float)[order],
         )
         self._burst_cache[day] = arrays
         return arrays

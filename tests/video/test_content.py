@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.reference import frozen_bursts_for_day
 from repro.errors import ConfigurationError
 from repro.video.content import ContentModel, DiurnalProfile, SpikeSchedule
+from repro.workloads.covid import CovidWorkload
+from repro.workloads.ev import EVCountingWorkload
+from repro.workloads.mosei import MoseiWorkload
+from repro.workloads.mot import MotWorkload
 
 
 def test_diurnal_profile_has_rush_hour_peaks():
@@ -94,6 +99,8 @@ def test_states_sampling_and_validation():
         model.state_at(-1.0)
     with pytest.raises(ConfigurationError):
         ContentModel(burst_rate_per_hour=-1.0)
+    with pytest.raises(ConfigurationError):
+        ContentModel(burst_magnitude=-0.1)
 
 
 def test_content_category_changes_on_tens_of_seconds_scale():
@@ -121,3 +128,96 @@ def test_property_state_always_valid(seed, timestamp):
     assert 0.0 <= state.activity <= 1.0
     assert 0.0 <= state.occlusion <= 1.0
     assert state.timestamp == pytest.approx(timestamp)
+
+
+# --------------------------------------------------------------------- #
+# Burst schedules: the live generator against the frozen one, bit for bit
+# --------------------------------------------------------------------- #
+GRID_SEEDS = list(range(50)) + [2**31 - 1, 2**32 + 5]
+GRID_DAYS = (0, 1, 2, 365, 10_000)
+
+WORKLOAD_CONTENT = {
+    "ev": lambda: EVCountingWorkload().content_model,
+    "mot": lambda: MotWorkload().content_model,
+    "covid": lambda: CovidWorkload().content_model,
+    "mosei": lambda: MoseiWorkload().content_model,
+    "default": ContentModel,
+}
+
+
+def assert_same_schedule(model, day):
+    live = model._bursts_for_day(day)
+    frozen = frozen_bursts_for_day(model, day)
+    assert len(live) == len(frozen) == 3
+    for ours, theirs in zip(live, frozen):
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+    return live
+
+
+@pytest.mark.parametrize("seed", GRID_SEEDS)
+def test_burst_schedule_matches_frozen_on_seeded_grid(seed):
+    model = ContentModel(seed=seed)
+    for day in GRID_DAYS:
+        starts, _, _ = assert_same_schedule(model, day)
+        assert starts.size > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONTENT))
+def test_burst_schedule_matches_frozen_for_workload_content(name):
+    base = WORKLOAD_CONTENT[name]()
+    for model in (base, base.with_seed(2**32 + 5)):
+        for day in GRID_DAYS:
+            assert_same_schedule(model, day)
+
+
+def test_burst_schedule_edge_cases_match_frozen():
+    starts, durations, magnitudes = assert_same_schedule(
+        ContentModel(seed=1, burst_rate_per_hour=0.0), 0
+    )
+    assert starts.size == durations.size == magnitudes.size == 0
+    assert starts.dtype == durations.dtype == magnitudes.dtype == np.float64
+    for seed in range(8):
+        assert_same_schedule(ContentModel(seed=seed, burst_rate_per_hour=0.05), 3)
+    _, durations, _ = assert_same_schedule(
+        ContentModel(seed=2, burst_duration_seconds=1.0), 1
+    )
+    assert durations.min() == 5.0
+    for magnitude in (0.0, 0.01):
+        _, _, magnitudes = assert_same_schedule(
+            ContentModel(seed=4, burst_magnitude=magnitude), 2
+        )
+        assert (magnitudes == 0.05).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**40),
+    day=st.integers(min_value=0, max_value=20_000),
+    rate=st.floats(min_value=0.0, max_value=60.0),
+    duration=st.floats(min_value=0.5, max_value=600.0),
+    magnitude=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_property_burst_schedule_matches_frozen(seed, day, rate, duration, magnitude):
+    model = ContentModel(
+        seed=seed,
+        burst_rate_per_hour=rate,
+        burst_duration_seconds=duration,
+        burst_magnitude=magnitude,
+    )
+    assert_same_schedule(model, day)
+
+
+def test_burst_schedules_do_not_depend_on_generation_order():
+    forward, backward = ContentModel(seed=13), ContentModel(seed=13)
+    for day in (4, 3):
+        backward._bursts_for_day(day)
+    for day in (3, 4):
+        for ours, theirs in zip(forward._bursts_for_day(day), backward._bursts_for_day(day)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def test_burst_schedule_is_cached_per_day():
+    model = ContentModel(seed=6)
+    first = model._bursts_for_day(2)
+    assert model._bursts_for_day(2) is first
