@@ -7,6 +7,10 @@ pre-vectorization implementations in ``repro.core.reference``:
   timestamps vs a ``scalar_state_at`` loop, both over warm burst schedules;
 * ``burst_schedule`` — cold burst schedules of fresh (seed, day) models:
   the live ``ContentModel._bursts_for_day`` vs ``frozen_bursts_for_day``;
+* ``cold_window`` — a service drain's cold content reads: 64 hour-shifted
+  EV cameras with their own seeds, each reading a 172.8 s window from half a
+  day in, from fresh models: live ``ContentModel.states_at`` vs the frozen
+  two-day ``frozen_burst_intensity_at``, with the schedules each side drew;
 * ``segment_record`` — ``SyntheticVideoSource.record`` (one columnar pass)
   vs the ``scalar_segments`` generator;
 * ``switcher_select`` — the switcher's pruned ``PlacementTable.select``
@@ -16,10 +20,13 @@ pre-vectorization implementations in ``repro.core.reference``:
   streams: the vectorized ``FleetEngine.run`` vs ``reference_fleet_run``
   driving scalar segment generation and the frozen switcher.
 
-Every kernel checks parity before it reports a time (bit-for-bit for the
-pure loop-structure changes, a documented ~1 ulp fp tolerance where numpy
-transcendentals replaced ``math`` calls), so the benchmark cannot report a
-speedup for a path that diverged.  ``--append-trajectory`` records the run
+Each side of a kernel runs :data:`REPEATS` times; repeats alternate which
+side runs first and build cold inputs afresh, and a row reports each side's
+median and quartiles and ``speedup`` as the ratio of the medians.  Every
+repeat checks parity (bit-for-bit for the pure loop-structure changes, a
+documented ~1 ulp fp tolerance where numpy transcendentals replaced
+``math`` calls), so the benchmark cannot report a speedup for a path that
+diverged.  ``--append-trajectory`` records the run
 as one point in the cross-PR trajectory file ``benchmarks/BENCH_hotpath.json``.
 
 Run standalone::
@@ -32,16 +39,20 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 
 from benchmarks.common import append_trajectory, emit_bench, print_header
 
+from repro.core import reference
 from repro.core.fleet import FleetEngine, FleetStream
 from repro.core.reference import (
+    frozen_burst_intensity_at,
     frozen_bursts_for_day,
     frozen_twin,
     reference_fleet_run,
@@ -53,6 +64,7 @@ from repro.experiments.results import ExperimentTable
 from repro.experiments.runner import ExperimentRunner
 from repro.figures.context import BundleProvider
 from repro.registry import create_policy
+from repro.video.content import SECONDS_PER_DAY
 from repro.workloads.fleet import make_fleet_scenario
 
 #: Cross-PR hot-path trajectory: one point appended per measured milestone.
@@ -63,6 +75,17 @@ FLEET_STREAMS = 32
 FLEET_BUFFER_BYTES = 256_000_000
 FLEET_CORES = 8
 
+#: The cold-window kernel mirrors the service drain benchmark: 64 cameras,
+#: each an hour later than the one before, reading 0.002 days of video from
+#: half a day in.
+COLD_WINDOW_CAMERAS = 64
+COLD_WINDOW_SHIFT_SECONDS = 3_600.0
+COLD_WINDOW_START_DAYS = 0.5
+COLD_WINDOW_DAYS = 0.002
+
+#: Timed runs of each side of every kernel.
+REPEATS = 3
+
 #: Relative tolerance for float aggregates between the vectorized and the
 #: frozen loop: the only divergence is ``np.exp``/``np.power`` vs their
 #: ``math`` twins inside the content model (~1 ulp per state), far below
@@ -70,14 +93,46 @@ FLEET_CORES = 8
 PARITY_RTOL = 1e-9
 
 
-def _timed(fn) -> tuple:
-    started = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - started
+def _time_sides(make_sides: Callable[[], tuple], parity: Callable[[Any, Any], bool]) -> tuple:
+    """Time a kernel's two sides :data:`REPEATS` times each.
+
+    ``make_sides()`` returns one repeat's ``(columnar, scalar)`` callables,
+    bound to inputs it builds fresh; the side that runs first alternates
+    between repeats, and ``parity(columnar_value, scalar_value)`` checks
+    every repeat.  Returns the row's timing fields and the last columnar
+    value.
+    """
+    times: Dict[str, List[float]] = {"scalar": [], "columnar": []}
+    parity_ok = True
+    for repeat in range(REPEATS):
+        columnar, scalar = make_sides()
+        sides = [("columnar", columnar), ("scalar", scalar)]
+        if repeat % 2:
+            sides.reverse()
+        values = {}
+        for name, fn in sides:
+            started = time.perf_counter()
+            values[name] = fn()
+            times[name].append(time.perf_counter() - started)
+        parity_ok = parity(values["columnar"], values["scalar"]) and parity_ok
+    row: Dict[str, Any] = {"repeats": REPEATS}
+    medians = {}
+    for name, samples in times.items():
+        q1, medians[name], q3 = np.percentile(samples, [25, 50, 75])
+        row[f"{name}_s"] = round(float(medians[name]), 4)
+        row[f"{name}_q1"] = round(float(q1), 4)
+        row[f"{name}_q3"] = round(float(q3), 4)
+    row["speedup"] = round(float(medians["scalar"] / medians["columnar"]), 2)
+    row["parity"] = parity_ok
+    return row, values["columnar"]
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= PARITY_RTOL * max(abs(a), abs(b), 1.0)
+
+
+def _same_bytes(ours: np.ndarray, theirs: np.ndarray) -> bool:
+    return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 # --------------------------------------------------------------------- #
@@ -97,79 +152,120 @@ def bench_content_states(source, n_timestamps: int) -> Dict[str, Any]:
         shift = getattr(model, "shift_seconds", 0.0)
         return [scalar_state_at(base, ts + shift) for ts in timestamps]
 
+    def parity(columns, states) -> bool:
+        return all(
+            _close(columns.activity[i], states[i].activity)
+            and _close(columns.occlusion[i], states[i].occlusion)
+            and _close(columns.lighting[i], states[i].lighting)
+            for i in range(0, n_timestamps, max(n_timestamps // 512, 1))
+        )
+
     columnar()  # generate every burst schedule once, so both sides read them warm
-    columns, columnar_s = _timed(columnar)
-    states, scalar_s = _timed(scalar)
-    parity = all(
-        _close(columns.activity[i], states[i].activity)
-        and _close(columns.occlusion[i], states[i].occlusion)
-        and _close(columns.lighting[i], states[i].lighting)
-        for i in range(0, n_timestamps, max(n_timestamps // 512, 1))
-    )
-    return {
-        "kernel": "content_states",
-        "n": n_timestamps,
-        "scalar_s": round(scalar_s, 4),
-        "columnar_s": round(columnar_s, 4),
-        "speedup": round(scalar_s / columnar_s, 2),
-        "parity": parity,
-    }
+    timing, _ = _time_sides(lambda: (columnar, scalar), parity)
+    return {"kernel": "content_states", "n": n_timestamps, **timing}
 
 
 def bench_burst_schedule(model, n_pairs: int) -> Dict[str, Any]:
     """Cold burst schedules: the live generator vs the frozen one.
 
-    Each (seed, day) pair gets a fresh model, so the live side generates
-    every schedule from cold; the frozen side never reads the cache.  Parity
-    compares dtype and bytes of all three arrays.
+    Every repeat gives each (seed, day) pair a fresh model, so the live side
+    generates every schedule from cold; the frozen side never reads the
+    cache.  Parity compares dtype and bytes of all three arrays.
     """
-    pairs = [(model.with_seed(seed), seed % 7) for seed in range(n_pairs)]
 
-    def columnar():
-        return [fresh._bursts_for_day(day) for fresh, day in pairs]
+    def make_sides():
+        pairs = [(model.with_seed(seed), seed % 7) for seed in range(n_pairs)]
+        return (
+            lambda: [fresh._bursts_for_day(day) for fresh, day in pairs],
+            lambda: [frozen_bursts_for_day(fresh, day) for fresh, day in pairs],
+        )
 
-    def scalar():
-        return [frozen_bursts_for_day(fresh, day) for fresh, day in pairs]
+    def parity(live, frozen) -> bool:
+        return all(
+            _same_bytes(ours, theirs)
+            for live_arrays, frozen_arrays in zip(live, frozen)
+            for ours, theirs in zip(live_arrays, frozen_arrays)
+        )
 
-    live, columnar_s = _timed(columnar)
-    frozen, scalar_s = _timed(scalar)
-    parity = all(
-        ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
-        for live_arrays, frozen_arrays in zip(live, frozen)
-        for ours, theirs in zip(live_arrays, frozen_arrays)
-    )
+    timing, live = _time_sides(make_sides, parity)
     return {
         "kernel": "burst_schedule",
         "n": n_pairs,
         "bursts": sum(int(starts.size) for starts, _, _ in live),
-        "scalar_s": round(scalar_s, 4),
-        "columnar_s": round(columnar_s, 4),
-        "speedup": round(scalar_s / columnar_s, 2),
-        "parity": parity,
+        **timing,
+    }
+
+
+def bench_cold_window(source) -> Dict[str, Any]:
+    """A service drain's cold content reads: live ``states_at`` vs the two-day kernel.
+
+    Camera ``i`` of :data:`COLD_WINDOW_CAMERAS` gets a fresh model with seed
+    ``seed + i`` and reads the drain's window shifted by ``i`` hours, as a
+    heterogeneous, hour-shifted fleet scenario does.  The live side computes
+    whole content states, generating the schedules it needs; the frozen side
+    computes only the burst column.  Parity compares that column's bytes.
+    The row also counts the schedules each side drew, in one more untimed
+    pass on fresh models.
+    """
+    base = source.content_model
+    step = source.segment_seconds
+    window_start = COLD_WINDOW_START_DAYS * SECONDS_PER_DAY
+    window_end = window_start + COLD_WINDOW_DAYS * SECONDS_PER_DAY
+    indices = np.arange(math.ceil(window_start / step), math.ceil(window_end / step))
+    midpoints = indices * step + step / 2.0
+
+    def make_sides():
+        fresh = [
+            (base.with_seed(base.seed + index), midpoints + index * COLD_WINDOW_SHIFT_SECONDS)
+            for index in range(COLD_WINDOW_CAMERAS)
+        ]
+        return (
+            lambda: [(model, model.states_at(ts)) for model, ts in fresh],
+            lambda: [frozen_burst_intensity_at(model, ts) for model, ts in fresh],
+        )
+
+    def parity(live, frozen) -> bool:
+        return all(
+            _same_bytes(model._burst_intensity_at(columns.timestamp), theirs)
+            for (model, columns), theirs in zip(live, frozen)
+        )
+
+    timing, _ = _time_sides(make_sides, parity)
+    live_side, frozen_side = make_sides()
+    drawn_live = sum(len(model._burst_cache) for model, _ in live_side())
+    with mock.patch.object(
+        reference, "frozen_bursts_for_day", wraps=frozen_bursts_for_day
+    ) as drawn_frozen:
+        frozen_side()
+    return {
+        "kernel": "cold_window",
+        "n": COLD_WINDOW_CAMERAS * int(midpoints.size),
+        "schedules_live": drawn_live,
+        "schedules_frozen": drawn_frozen.call_count,
+        **timing,
     }
 
 
 def bench_segment_record(source, window_seconds: float) -> Dict[str, Any]:
     """Columnar segment materialization vs the scalar generator."""
-    vectorized, columnar_s = _timed(lambda: source.record(0.0, window_seconds))
-    scalar, scalar_s = _timed(
-        lambda: list(scalar_segments(source, 0.0, window_seconds))
+
+    def parity(vectorized, scalar) -> bool:
+        return len(vectorized) == len(scalar) and all(
+            a.segment_index == b.segment_index
+            and a.encoded_bytes == b.encoded_bytes
+            and a.ground_truth_objects == b.ground_truth_objects
+            and _close(a.content.activity, b.content.activity)
+            for a, b in zip(vectorized, scalar)
+        )
+
+    timing, vectorized = _time_sides(
+        lambda: (
+            lambda: source.record(0.0, window_seconds),
+            lambda: list(scalar_segments(source, 0.0, window_seconds)),
+        ),
+        parity,
     )
-    parity = len(vectorized) == len(scalar) and all(
-        a.segment_index == b.segment_index
-        and a.encoded_bytes == b.encoded_bytes
-        and a.ground_truth_objects == b.ground_truth_objects
-        and _close(a.content.activity, b.content.activity)
-        for a, b in zip(vectorized, scalar)
-    )
-    return {
-        "kernel": "segment_record",
-        "n": len(vectorized),
-        "scalar_s": round(scalar_s, 4),
-        "columnar_s": round(columnar_s, 4),
-        "speedup": round(scalar_s / columnar_s, 2),
-        "parity": parity,
-    }
+    return {"kernel": "segment_record", "n": len(vectorized), **timing}
 
 
 def bench_switcher_select(context, n_decisions: int) -> Dict[str, Any]:
@@ -197,34 +293,28 @@ def bench_switcher_select(context, n_decisions: int) -> Dict[str, Any]:
         for index in range(n_decisions)
     ]
 
-    def columnar():
-        return [table.select(*entry) for entry in inputs]
+    def parity(vectorized, frozen_picks) -> bool:
+        return all(
+            a[0] == b[0] and a[1] is b[1] and a[2] == b[2]
+            for a, b in zip(vectorized, frozen_picks)
+        )
 
-    def scalar():
-        return [frozen._select_feasible(*entry) for entry in inputs]
-
-    vectorized, columnar_s = _timed(columnar)
-    reference, scalar_s = _timed(scalar)
-    parity = all(
-        a[0] == b[0] and a[1] is b[1] and a[2] == b[2]
-        for a, b in zip(vectorized, reference)
+    timing, _ = _time_sides(
+        lambda: (
+            lambda: [table.select(*entry) for entry in inputs],
+            lambda: [frozen._select_feasible(*entry) for entry in inputs],
+        ),
+        parity,
     )
-    return {
-        "kernel": "switcher_select",
-        "n": n_decisions,
-        "scalar_s": round(scalar_s, 4),
-        "columnar_s": round(columnar_s, 4),
-        "speedup": round(scalar_s / columnar_s, 2),
-        "parity": parity,
-    }
+    return {"kernel": "switcher_select", "n": n_decisions, **timing}
 
 
-def _fleet_parity(vectorized, reference) -> bool:
+def _fleet_parity(vectorized, frozen) -> bool:
     """Per-stream aggregate parity within the documented fp tolerance."""
-    if sorted(vectorized.stream_results) != sorted(reference.stream_results):
+    if sorted(vectorized.stream_results) != sorted(frozen.stream_results):
         return False
     for stream_id, ours in vectorized.stream_results.items():
-        theirs = reference.stream_results[stream_id]
+        theirs = frozen.stream_results[stream_id]
         for attr in ("segments_total", "segments_dropped", "overflow_count", "switch_count"):
             if getattr(ours, attr) != getattr(theirs, attr):
                 return False
@@ -294,16 +384,12 @@ def bench_fleet_scaling(runner, bundle, n_streams: int) -> Dict[str, Any]:
         )
 
     columnar()  # warm caches (profile tables, content trig tables) for both
-    vectorized, columnar_s = _timed(columnar)
-    reference, scalar_s = _timed(scalar)
+    timing, vectorized = _time_sides(lambda: (columnar, scalar), _fleet_parity)
     return {
         "kernel": f"fleet_scaling_{n_streams}",
         "n": vectorized.segments_total,
         "streams": n_streams,
-        "scalar_s": round(scalar_s, 4),
-        "columnar_s": round(columnar_s, 4),
-        "speedup": round(scalar_s / columnar_s, 2),
-        "parity": _fleet_parity(vectorized, reference),
+        **timing,
     }
 
 
@@ -323,6 +409,7 @@ def run_hotpath_bench(smoke: bool = False) -> Dict[str, Any]:
     kernels = [
         bench_content_states(source, 20_000 if smoke else 200_000),
         bench_burst_schedule(source.content_model, 16 if smoke else 64),
+        bench_cold_window(source),
         bench_segment_record(source, 4_320.0 if smoke else 86_400.0),
         bench_switcher_select(context, 2_000 if smoke else 20_000),
         bench_fleet_scaling(runner, bundle, 8 if smoke else FLEET_STREAMS),

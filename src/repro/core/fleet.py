@@ -52,7 +52,12 @@ class BudgetLedger(Protocol):
         ...
 
     def charge(self, time: float, dollars: float) -> None:
-        """Charge ``dollars`` against the day containing ``time``."""
+        """Charge ``dollars`` against the day containing ``time``.
+
+        ``dollars`` must be non-negative: a negative charge raises
+        :class:`~repro.errors.ConfigurationError`, and a rejected charge
+        changes no ledger.
+        """
         ...
 
     def spent_on(self, time: float) -> float:
@@ -112,6 +117,8 @@ class DailyBudgetLedger:
 
     def charge(self, time: float, dollars: float) -> None:
         """Charge ``dollars`` against the day containing ``time``."""
+        if dollars < 0:
+            raise ConfigurationError("cannot charge negative dollars")
         day = self.day_of(time)
         spend = self._day_spend(day) + dollars
         self.spend_by_day[day] = spend

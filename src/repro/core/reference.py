@@ -37,6 +37,11 @@ side of a fleet comparison decides with it.
 So is a camera-day's burst schedule (:func:`frozen_bursts_for_day`):
 numpy's ``uniform``/``exponential`` calls and one sorted record per burst,
 which the live ``ContentModel._bursts_for_day`` must match bit for bit.
+And so is the batched burst kernel (:func:`frozen_burst_intensity_at`):
+every row of day ``d`` reads the schedules of days ``d - 1`` and ``d``,
+drawn by :func:`frozen_bursts_for_day`.  The live
+``ContentModel._burst_intensity_at`` skips day ``d - 1`` where none of its
+bursts can still be running, and must match it bit for bit.
 
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
@@ -62,6 +67,7 @@ from repro.core.profiles import ProfileSet
 from repro.core.switcher import SwitchDecision
 from repro.errors import ConfigurationError
 from repro.video.content import (
+    _BURST_BATCH_ROWS,
     SECONDS_PER_DAY,
     ContentModel,
     ContentState,
@@ -135,6 +141,48 @@ def frozen_bursts_for_day(
         np.array([burst.duration for burst in bursts], dtype=float),
         np.array([burst.magnitude for burst in bursts], dtype=float),
     )
+
+
+def frozen_burst_intensity_at(model: ContentModel, ts: np.ndarray) -> np.ndarray:
+    """The two-day ``ContentModel._burst_intensity_at``, reading frozen schedules.
+
+    Every row of day ``d`` sums the bursts of days ``d - 1`` and ``d`` in
+    burst-start order; each schedule comes from :func:`frozen_bursts_for_day`,
+    so the model's cache is neither read nor filled.
+    """
+    total = np.zeros(ts.shape, dtype=float)
+    if ts.size == 0:
+        return total
+    days = np.floor_divide(ts, SECONDS_PER_DAY).astype(np.int64)
+    for day in np.unique(days):
+        day_mask = days == day
+        sub = ts[day_mask]
+        acc = np.zeros(sub.shape, dtype=float)
+        # A burst can straddle midnight, so also consider the previous day.
+        for candidate_day in (int(day) - 1, int(day)):
+            if candidate_day < 0:
+                continue
+            starts, durations, magnitudes = frozen_bursts_for_day(model, candidate_day)
+            if starts.size == 0:
+                continue
+            ends = starts + durations
+            max_duration = float(durations.max())
+            for begin in range(0, sub.size, _BURST_BATCH_ROWS):
+                piece = sub[begin : begin + _BURST_BATCH_ROWS]
+                lo = int(np.searchsorted(starts, float(piece.min()) - max_duration))
+                hi = int(np.searchsorted(starts, float(piece.max()), side="right"))
+                if lo >= hi:
+                    continue
+                t = piece[:, None]
+                active = (starts[None, lo:hi] <= t) & (t < ends[None, lo:hi])
+                rows, cols = np.nonzero(active)
+                if rows.size == 0:
+                    continue
+                phase = (piece[rows] - starts[lo + cols]) / durations[lo + cols]
+                contributions = magnitudes[lo + cols] * np.sin(np.pi * phase)
+                np.add.at(acc, begin + rows, contributions)
+        total[day_mask] = acc
+    return total
 
 
 def _scalar_smooth_noise(model: ContentModel, timestamp: float) -> float:

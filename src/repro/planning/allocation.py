@@ -144,9 +144,15 @@ class TenantSubLedger:
         return min(self.tracker.remaining(time), self.parent.remaining(time))
 
     def charge(self, time: float, dollars: float) -> None:
-        """Record a spend against both the tenant tracker and the parent."""
-        self.tracker.charge(time, dollars)
+        """Record a spend against both the parent and the tenant tracker."""
+        # Reject before either ledger is touched, so a bad charge never
+        # lands in one and not the other.  The parent goes first: a shared
+        # parent also rejects a day outside its horizon, which the default
+        # process-local tracker would accept.
+        if dollars < 0:
+            raise ConfigurationError("cannot charge negative dollars")
         self.parent.charge(time, dollars)
+        self.tracker.charge(time, dollars)
 
     def spent_on(self, time: float) -> float:
         """The tenant's spend on the day containing ``time``."""

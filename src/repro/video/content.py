@@ -22,7 +22,12 @@ may differ by a few ulps where ``np.exp``/``np.power`` and
 ``math.exp``/``math.pow`` disagree in the last bit; the parity tests pin
 that tolerance.  Each camera-day's burst schedule is one seeded scalar
 draw sequence, generated on first use and cached per model, and it equals
-:func:`repro.core.reference.frozen_bursts_for_day` bit for bit.
+:func:`repro.core.reference.frozen_bursts_for_day` bit for bit.  A query
+reads the previous day's schedule only before midnight plus a proven bound
+on burst duration (``_BURST_SPILL_FACTOR``), so a window that starts later
+in the day generates one schedule, not two; the burst column still equals
+:func:`repro.core.reference.frozen_burst_intensity_at`, the two-day kernel,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +46,25 @@ SECONDS_PER_HOUR = 3_600.0
 # Rows per chunk in the batched burst kernel: bounds the (rows x bursts)
 # active mask while leaving per-row results chunk-invariant.
 _BURST_BATCH_ROWS = 2_048
+
+# Shortest burst: every drawn duration is floored here.
+_MIN_BURST_SECONDS = 5.0
+
+# Every burst of day d - 1 ends at or before d * 86_400 + spill, where
+# spill = max(_BURST_SPILL_FACTOR * burst_duration_seconds, _MIN_BURST_SECONDS),
+# so a query of day d at or after that instant reads no schedule of day d - 1.
+# Proof: numpy's ``standard_exponential`` is a ziggurat
+# (``random_standard_exponential`` and ``standard_exponential_unlikely`` in
+# numpy/random/src/distributions/distributions.c).  Its main path returns
+# x < r ~= 7.697; its tail returns r - log1p(-U) with U <= 1 - 2**-53, at
+# most r + 53 * ln 2 < 44.44.  So mean * x <= 64 * mean in floating point
+# (rounding is monotone and 64 * mean is exact), and with the floor every
+# duration is at most spill.  A start of day d - 1 is (d - 1) * 86_400 plus
+# 86_400 * u with u < 1, so it rounds to at most d * 86_400; the kernel's
+# end = start + duration then rounds to at most the rounded d * 86_400 + spill,
+# the threshold it compares against.  Both kernels read at most days d - 1
+# and d, so a burst longer than a day stops counting at the next midnight.
+_BURST_SPILL_FACTOR = 64.0
 
 
 @dataclass(frozen=True)
@@ -441,20 +465,24 @@ class ContentModel:
 
         Per row the contributions accumulate sequentially in burst-start
         order (``np.add.at`` is unbuffered), so the value of a row never
-        depends on how the batch is chunked or what else is in it.
+        depends on how the batch is chunked or what else is in it.  A row
+        of day ``d`` sums the bursts of days ``d - 1`` and ``d``; day
+        ``d - 1`` is read only when a row falls within the spill bound
+        after midnight, where one of its bursts can still be running.
         """
         total = np.zeros(ts.shape, dtype=float)
         if ts.size == 0:
             return total
+        spill = max(_BURST_SPILL_FACTOR * self.burst_duration_seconds, _MIN_BURST_SECONDS)
         days = np.floor_divide(ts, SECONDS_PER_DAY).astype(np.int64)
-        for day in np.unique(days):
+        for day in np.unique(days).tolist():
             day_mask = days == day
             sub = ts[day_mask]
             acc = np.zeros(sub.shape, dtype=float)
-            # A burst can straddle midnight, so also consider the previous day.
-            for candidate_day in (int(day) - 1, int(day)):
-                if candidate_day < 0:
-                    continue
+            # A burst can straddle midnight, but every burst of the previous
+            # day has ended by midnight + spill (see _BURST_SPILL_FACTOR).
+            first_day = day - 1 if float(sub.min()) < day * SECONDS_PER_DAY + spill else day
+            for candidate_day in range(max(first_day, 0), day + 1):
                 starts, durations, magnitudes = self._bursts_for_day(candidate_day)
                 if starts.size == 0:
                     continue
@@ -499,6 +527,7 @@ class ContentModel:
         normal = rng.normal
         activity = self.diurnal.activity
         mean_duration = self.burst_duration_seconds
+        min_duration = _MIN_BURST_SECONDS
         mean_magnitude = self.burst_magnitude
         spread = mean_magnitude * 0.4
         day_start = day * SECONDS_PER_DAY
@@ -507,9 +536,13 @@ class ContentModel:
         magnitudes: List[float] = []
         for _ in range(count):
             start = day_start + SECONDS_PER_DAY * random()
-            duration = max(mean_duration * standard_exponential(), 5.0)
-            # Bursts are more likely and stronger during active hours.
-            if random() > 0.25 + 0.75 * activity(start):
+            duration = max(mean_duration * standard_exponential(), min_duration)
+            # Bursts are more likely and stronger during active hours.  The
+            # threshold 0.25 + 0.75 * activity is never below 0.25 (activity
+            # is clipped to [0, 1] and draws nothing), so only a larger draw
+            # needs the activity.
+            draw = random()
+            if draw > 0.25 and draw > 0.25 + 0.75 * activity(start):
                 continue
             starts.append(start)
             durations.append(duration)

@@ -18,6 +18,8 @@ from repro.core.fleet import (
     scheduler_names,
 )
 from repro.errors import ConfigurationError
+from repro.planning.allocation import TenantSubLedger
+from repro.service.ledger import SharedDailyLedger
 from repro.workloads.base import WorkloadSetup
 from repro.workloads.fleet import (
     PhaseShiftedContentModel,
@@ -55,6 +57,28 @@ class TestDailyBudgetLedger:
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             DailyBudgetLedger(-1.0)
+
+
+@pytest.mark.parametrize(
+    "make_ledger",
+    [
+        lambda: DailyBudgetLedger(2.0),
+        lambda: SharedDailyLedger(2.0, horizon_days=4),
+        lambda: TenantSubLedger(SharedDailyLedger(10.0, horizon_days=4), 2.0),
+    ],
+    ids=["daily", "shared", "tenant"],
+)
+def test_negative_charge_is_rejected_and_changes_no_ledger(make_ledger):
+    ledger = make_ledger()
+    ledger.charge(100.0, 1.5)
+    with pytest.raises(ConfigurationError, match="negative"):
+        ledger.charge(200.0, -1.0)
+    assert ledger.remaining(300.0) == pytest.approx(0.5)
+    assert ledger.spent_on(300.0) == pytest.approx(1.5)
+    assert ledger.spend_by_day == {0: pytest.approx(1.5)}
+    assert ledger.total_dollars == pytest.approx(1.5)
+    if isinstance(ledger, TenantSubLedger):
+        assert ledger.parent.spent_on(300.0) == pytest.approx(1.5)
 
 
 class _CloudGreedyPolicy:

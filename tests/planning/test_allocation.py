@@ -12,6 +12,7 @@ from repro.planning import (
     TenantSubLedger,
     build_tenant_ledgers,
 )
+from repro.service.ledger import SharedDailyLedger
 
 DAY = 86400.0
 
@@ -57,6 +58,15 @@ def test_sub_ledger_resets_with_the_day():
     assert sub.remaining(DAY + 1.0) == pytest.approx(1.0)
     assert sub.spent_on(0.0) == pytest.approx(1.0)
     assert sub.spend_by_day == {0: pytest.approx(1.0)}
+
+
+def test_charge_outside_the_parent_horizon_changes_neither_ledger():
+    parent = SharedDailyLedger(10.0, base_day=0, horizon_days=2)
+    sub = TenantSubLedger(parent, daily_cap_dollars=2.0)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        sub.charge(5 * DAY, 1.0)
+    assert sub.spend_by_day == {}
+    assert parent.spend_by_day == {}
 
 
 def test_negative_cap_is_rejected():

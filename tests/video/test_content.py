@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.reference import frozen_bursts_for_day
+from repro.core.reference import frozen_burst_intensity_at, frozen_bursts_for_day
 from repro.errors import ConfigurationError
 from repro.video.content import ContentModel, DiurnalProfile, SpikeSchedule
 from repro.workloads.covid import CovidWorkload
-from repro.workloads.ev import EVCountingWorkload
+from repro.workloads.ev import EVCountingWorkload, make_ev_setup
+from repro.workloads.fleet import make_fleet_scenario
 from repro.workloads.mosei import MoseiWorkload
 from repro.workloads.mot import MotWorkload
 
@@ -221,3 +222,96 @@ def test_burst_schedule_is_cached_per_day():
     model = ContentModel(seed=6)
     first = model._bursts_for_day(2)
     assert model._bursts_for_day(2) is first
+
+
+# --------------------------------------------------------------------- #
+# Burst columns: the live kernel against the frozen two-day kernel
+# --------------------------------------------------------------------- #
+WINDOW_ROWS = (1, 87, 43_200)
+WINDOW_DAY = 2
+
+
+def spill_seconds(model):
+    """The documented bound: every burst of day d - 1 ends by d * 86_400 + spill."""
+    return max(64.0 * model.burst_duration_seconds, 5.0)
+
+
+def window_offsets(model):
+    spill = spill_seconds(model)
+    return (0.0, 1.0, spill - 2.0, spill, spill + 1.0, 3_600.0, 43_200.0)
+
+
+def assert_same_burst_column(model, ts):
+    live = model._burst_intensity_at(ts)
+    frozen = frozen_burst_intensity_at(model, ts)
+    assert live.dtype == frozen.dtype
+    assert live.tobytes() == frozen.tobytes()
+
+
+def assert_same_burst_windows(model):
+    midnight = WINDOW_DAY * 86_400.0
+    for offset in window_offsets(model):
+        for rows in WINDOW_ROWS:
+            # Segment midpoints of 2 s segments: 43,200 rows span a whole day.
+            assert_same_burst_column(model, midnight + offset + 2.0 * np.arange(rows))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONTENT))
+def test_burst_intensity_matches_frozen_for_workload_content(name):
+    base = WORKLOAD_CONTENT[name]()
+    for model in (base, base.with_seed(2**32 + 5)):
+        assert_same_burst_windows(model)
+
+
+@pytest.mark.parametrize("mean_duration", [600.0, 3_000.0])
+def test_burst_intensity_matches_frozen_when_bursts_cross_midnight(mean_duration):
+    model = ContentModel(seed=7, burst_duration_seconds=mean_duration)
+    starts, durations, _ = model._bursts_for_day(WINDOW_DAY - 1)
+    assert (starts + durations > WINDOW_DAY * 86_400.0).any()
+    assert_same_burst_windows(model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**40),
+    day=st.integers(min_value=0, max_value=20_000),
+    from_spill=st.booleans(),
+    offset=st.floats(min_value=-600.0, max_value=7_200.0),
+    rows=st.integers(min_value=1, max_value=400),
+    mean_duration=st.floats(min_value=0.5, max_value=3_000.0),
+)
+def test_property_burst_intensity_matches_frozen(
+    seed, day, from_spill, offset, rows, mean_duration
+):
+    model = ContentModel(seed=seed, burst_duration_seconds=mean_duration)
+    anchor = spill_seconds(model) if from_spill else 0.0
+    start = max(day * 86_400.0 + anchor + offset, 0.0)
+    assert_same_burst_column(model, start + 2.0 * np.arange(rows))
+
+
+def test_burst_intensity_reads_the_previous_day_only_near_midnight():
+    late = WORKLOAD_CONTENT["ev"]()
+    late.state_at(2 * 86_400.0 + 3_600.0)
+    assert set(late._burst_cache) == {2}
+    early = WORKLOAD_CONTENT["ev"]()
+    early.state_at(2 * 86_400.0)
+    assert set(early._burst_cache) == {1, 2}
+
+
+def test_drain_window_draws_one_schedule_per_camera_day():
+    """64 hour-shifted EV cameras read 172.8 s from 0.5 days, like a service drain.
+
+    Each camera's window lies in one day; only the three whose window starts
+    just after midnight (shifts of 12, 36 and 60 hours) read the day before.
+    """
+    setup = make_ev_setup(history_days=0.5, online_days=0.002, seed=3)
+    scenario = make_fleet_scenario(
+        setup, 64, phase_shift_seconds=3_600.0, heterogeneous=True
+    )
+    start = setup.history_days * 86_400.0
+    drawn = 0
+    for stream in scenario.streams:
+        stream.source.segment_columns(start, start + setup.online_days * 86_400.0)
+        model = stream.source.content_model
+        drawn += len(getattr(model, "base", model)._burst_cache)
+    assert drawn == 67
