@@ -1,19 +1,8 @@
-"""Online adaptation: drift detection + staged incremental re-fits.
+"""CUSUM drift detection with hysteresis (:mod:`repro.adaptation.drift`).
 
-The offline phase (:mod:`repro.core.offline`) is fit-once; this package is
-the re-learning loop a production deployment needs when content shifts.  The
-:class:`DriftMonitor` watches the online phase's only observables — the
-categorizer's classification confidence and the mismatch between the planned
-content distribution and what actually arrives — through CUSUM change
-detectors with hysteresis.  On a trigger, the :class:`StagedRefitter` re-runs
-the offline pipeline against the content-addressed stage cache with the
-history-labeling window extended to "now": profiles unchanged means only
-``label_history`` and ``train_forecaster`` actually re-run, and the MLP
-forecaster is warm-started from the previous weights.
-
-:class:`AdaptiveSkyscraperPolicy` ties the two together behind the standard
-policy protocol; with ``drift_monitor=None`` it is bit-for-bit identical to
-the plain :class:`~repro.core.policy.SkyscraperPolicy`.
+A standalone statistical component: no engine, policy or service path uses
+it.  Skyscraper's offline phase is fit-once, and the online phase adapts
+through the knob switcher and the re-solved knob plan only.
 """
 
 from repro.adaptation.drift import (
@@ -22,16 +11,10 @@ from repro.adaptation.drift import (
     DriftMonitor,
     DriftTrigger,
 )
-from repro.adaptation.policy import AdaptiveSkyscraperPolicy, build_adaptive_policy
-from repro.adaptation.refit import RefitReport, StagedRefitter
 
 __all__ = [
-    "AdaptiveSkyscraperPolicy",
     "CusumDetector",
     "DriftConfig",
     "DriftMonitor",
     "DriftTrigger",
-    "RefitReport",
-    "StagedRefitter",
-    "build_adaptive_policy",
 ]

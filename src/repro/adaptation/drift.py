@@ -1,6 +1,6 @@
-"""CUSUM drift detection over the online phase's observable signals.
+"""CUSUM drift detection over signals an online phase can observe.
 
-The online phase never sees ground-truth quality, so drift has to be read off
+An online phase never sees ground-truth quality, so drift has to be read off
 what the deployed models themselves expose:
 
 * **classification confidence** — the categorizer's distance from each
@@ -20,8 +20,10 @@ score crossing the threshold fires a :class:`DriftTrigger`; hysteresis
 (score reset, cooldown, and a re-arm level below the firing threshold)
 prevents a single sustained shift from flapping into a trigger storm.
 
-:class:`DriftMonitor` bundles one detector per signal and is the object the
-adaptive policy holds.
+:class:`DriftMonitor` bundles one detector per signal.  No engine or policy
+feeds it: plain Skyscraper adapts online only through the knob switcher and
+the knob plan re-solved every planned interval, and the staged re-fit loop
+this monitor once drove never beat that fit-once system.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ class DriftTrigger:
 class CusumDetector:
     """Two-sided standardized CUSUM with warmup baseline and hysteresis.
 
-    The detector is deliberately tiny and allocation-free per observation:
-    the adaptive policy calls :meth:`observe` once per processed segment.
+    The detector is deliberately tiny and allocation-free per
+    :meth:`observe` call.
     """
 
     def __init__(self, config: Optional[DriftConfig] = None, channel: str = "signal"):
@@ -285,7 +287,7 @@ class DriftMonitor:
         return trigger
 
     def rebaseline(self) -> None:
-        """Restart every channel's warmup (call after adopting a re-fit)."""
+        """Restart every channel's warmup (call after the watched models change)."""
         self.confidence.reset()
         self.forecast.reset()
         self.quality.reset()

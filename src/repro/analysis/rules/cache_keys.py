@@ -14,10 +14,10 @@ True)`` literals and a class defining ``_stage_key_params``:
 * the *reads* of stage ``s`` are the ``self.params.<p>`` and constructor-bound
   ``self.<attr>`` loads reachable from ``_run_<s>`` (recursively expanded
   through same-class helper methods and properties, so a parameter read via
-  ``self.label_window_end`` is still seen);
+  ``self.unlabeled_end`` is still seen);
 * the *key material* of ``s`` is everything read the same way inside the
   ``if spec.name == "s":`` branch of ``_stage_key_params``, plus string
-  literals in that branch (``key["label_window_end_days"] = ...``), plus the
+  literals in that branch (the key dict's ``"forecast_input_days"``), plus the
   globally keyed reads of ``_base_payload`` / ``_source_payload``;
 * every read not in the key material is a finding ``s:<attr>``.
 

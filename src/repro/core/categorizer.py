@@ -13,7 +13,6 @@ reduces to the nearest center along that single dimension (Equation 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,27 +20,6 @@ import numpy as np
 from repro.errors import ConfigurationError, NotFittedError
 from repro.ml.gmm import GaussianMixture
 from repro.ml.kmeans import KMeans
-
-
-@dataclass(frozen=True)
-class ClassificationScore:
-    """A single-dimension classification together with its confidence signals.
-
-    Attributes:
-        category: the Equation 5 nearest-center category (identical to what
-            :meth:`ContentCategorizer.classify_partial` returns).
-        residual: distance from the observed quality to the chosen center —
-            small while content resembles the fitted clusters, growing when
-            observations drift away from every center (the drift monitor's
-            confidence channel).
-        margin: distance gap between the runner-up center and the chosen one
-            (0 when only one category exists); small margins mean ambiguous
-            classifications.
-    """
-
-    category: int
-    residual: float
-    margin: float
 
 
 class ContentCategorizer:
@@ -164,28 +142,6 @@ class ContentCategorizer:
             raise ConfigurationError("configuration_index out of range")
         distances = np.abs(centers[:, configuration_index] - observed_quality)
         return int(np.argmin(distances))
-
-    def classification_score(
-        self, configuration_index: int, observed_quality: float
-    ) -> ClassificationScore:
-        """:meth:`classify_partial` plus the confidence signals around it.
-
-        The category matches :meth:`classify_partial` exactly (same distance
-        rule, same lowest-index tie-break); the residual and margin feed the
-        online drift monitor without a second distance computation.
-        """
-        centers = self.centers
-        if not 0 <= configuration_index < centers.shape[1]:
-            raise ConfigurationError("configuration_index out of range")
-        distances = np.abs(centers[:, configuration_index] - observed_quality)
-        category = int(np.argmin(distances))
-        residual = float(distances[category])
-        if distances.shape[0] < 2:
-            margin = 0.0
-        else:
-            runner_up = float(np.partition(distances, 1)[1])
-            margin = runner_up - residual
-        return ClassificationScore(category=category, residual=residual, margin=margin)
 
     def classify_partial_many(
         self, configuration_index: int, observed_qualities: Sequence[float]

@@ -138,10 +138,6 @@ class IngestionResult:
     configuration_usage: Dict[str, int] = field(default_factory=dict)
     switch_count: int = 0
     traces: List[SegmentTrace] = field(default_factory=list)
-    #: Free-form telemetry the policy reports at the end of a run (via an
-    #: optional ``ingestion_metrics()`` method) — e.g. the adaptive policy's
-    #: drift-trigger and re-fit counters.  Empty for ordinary policies.
-    policy_metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def mean_true_quality(self) -> float:

@@ -562,22 +562,11 @@ class FleetEngine:
                 busy_until = finish
                 loop.schedule(finish, FINISH, chosen, entry.encoded_bytes)
 
-        stream_results: Dict[str, IngestionResult] = {}
-        for session in sessions:
-            result = session.finalize()
-            # Policies may expose end-of-run telemetry (the adaptive policy's
-            # drift/re-fit counters) through a duck-typed hook.
-            metrics_hook = getattr(session.policy, "ingestion_metrics", None)
-            if callable(metrics_hook):
-                result.policy_metrics.update(
-                    {str(key): float(value) for key, value in metrics_hook().items()}
-                )
-            stream_results[session.stream_id] = result
         return FleetResult(
             scheduler=scheduler.name,
             start_time=start_time,
             end_time=end_time,
-            stream_results=stream_results,
+            stream_results={session.stream_id: session.finalize() for session in sessions},
             cloud_spend_by_day=dict(ledger.spend_by_day),
         )
 

@@ -196,22 +196,6 @@ class ContentForecaster:
     def is_fitted(self) -> bool:
         return self._network.is_fitted
 
-    def warm_start_from(self, other: Optional["ContentForecaster"]) -> bool:
-        """Adopt another fitted forecaster's weights as this one's init.
-
-        A subsequent :meth:`fit` then *fine-tunes* from those weights instead
-        of training from the seeded random initialization — the staged
-        incremental re-fit's fast path.  Returns ``False`` (and changes
-        nothing) when ``other`` is missing, unfitted, or shaped differently.
-        """
-        if other is None or other is self or not other.is_fitted:
-            return False
-        if other.n_categories != self.n_categories or other.n_splits != self.n_splits:
-            return False
-        self._network.restore_parameters(other.get_parameters())
-        self.input_seconds = other.input_seconds
-        return True
-
     # ------------------------------------------------------------------ #
     # Checkpointing (used by the serialized offline artifacts)
     # ------------------------------------------------------------------ #

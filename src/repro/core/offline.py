@@ -501,14 +501,7 @@ _STAGE_ORDINALS = {spec.name: ordinal for ordinal, spec in enumerate(OFFLINE_STA
 
 @dataclass(frozen=True)
 class OfflineFitParams:
-    """The sampling and training knobs of the offline phase (``fit``'s kwargs).
-
-    ``label_window_end_days`` extends *only* the history-labeling window
-    beyond ``unlabeled_days`` (staged incremental re-fits set it to "now").
-    It deliberately leaves the sampling stages' key material untouched, so a
-    re-fit against a warm stage cache re-runs nothing but ``label_history``
-    and ``train_forecaster``.
-    """
+    """The sampling and training knobs of the offline phase (``fit``'s kwargs)."""
 
     unlabeled_days: float = 14.0
     labeled_minutes: float = 20.0
@@ -519,16 +512,6 @@ class OfflineFitParams:
     forecast_input_days: float = 2.0
     max_configurations: Optional[int] = 8
     train_forecaster: bool = True
-    label_window_end_days: Optional[float] = None
-
-    def __post_init__(self):
-        if (
-            self.label_window_end_days is not None
-            and self.label_window_end_days < self.unlabeled_days
-        ):
-            raise ConfigurationError(
-                "label_window_end_days must not precede unlabeled_days"
-            )
 
 
 @dataclass
@@ -586,14 +569,6 @@ class OfflinePipeline:
             with the pipeline's.
         stage_cache_dir: optional directory for persistent per-stage
             artifacts (see :class:`StageCache`).
-        warm_start_forecaster: optional previously fitted forecaster whose
-            weights initialize ``train_forecaster`` (the staged re-fit's
-            fine-tuning path).  Ignored when its shape does not match the
-            fitted categorizer.  A compatible warm start is part of the
-            ``train_forecaster`` cache key, so warm and cold fits never
-            collide in the stage cache.
-        forecaster_epochs: optional override of the forecaster's training
-            epochs (fine-tuning runs fewer than a cold fit).
     """
 
     stages: Tuple[StageSpec, ...] = OFFLINE_STAGES
@@ -613,8 +588,6 @@ class OfflinePipeline:
         executor: Optional[Union[int, OfflineExecutor]] = None,
         evaluation_cache: Optional[EvaluationCache] = None,
         stage_cache_dir: Optional[Union[str, Path]] = None,
-        warm_start_forecaster: Optional[ContentForecaster] = None,
-        forecaster_epochs: Optional[int] = None,
     ):
         """Assemble a pipeline run; see ``Skyscraper.fit`` for the knobs."""
         self.workload = workload
@@ -627,8 +600,6 @@ class OfflinePipeline:
         self.planned_interval_seconds = planned_interval_seconds
         self.seed = seed
         self.params = params or OfflineFitParams()
-        self.warm_start_forecaster = warm_start_forecaster
-        self.forecaster_epochs = forecaster_epochs
         # Executors built here from a worker count are owned by the pipeline
         # and closed at the end of run(); caller-provided instances are not.
         self._owns_executor = executor is None or isinstance(executor, int)
@@ -651,19 +622,6 @@ class OfflinePipeline:
     def unlabeled_end(self) -> float:
         """End of the recorded history window in seconds."""
         return self.params.unlabeled_days * SECONDS_PER_DAY
-
-    @property
-    def label_window_end(self) -> float:
-        """End of the history-*labeling* window in seconds.
-
-        Defaults to :attr:`unlabeled_end`; staged re-fits extend it to "now"
-        via :attr:`OfflineFitParams.label_window_end_days` without touching
-        the sampling stages' cache identity.
-        """
-        end_days = self.params.label_window_end_days
-        if end_days is None:
-            return self.unlabeled_end
-        return end_days * SECONDS_PER_DAY
 
     @property
     def total_history_segments(self) -> int:
@@ -792,21 +750,15 @@ class OfflinePipeline:
             # category changes reuse the expensive evaluations (Table 3's
             # dominant 83% step).
             cheapest = context["profiles"].cheapest().configuration
-            key: Dict[str, Any] = {
+            return {
                 "unlabeled_days": params.unlabeled_days,
                 "forecast_label_period_seconds": params.forecast_label_period_seconds,
                 "cheapest": cheapest.as_dict(),
             }
-            # Added only when set, so every pre-existing digest is preserved
-            # and the base fit's artifact is never silently reused for an
-            # extended labeling window (or vice versa).
-            if params.label_window_end_days is not None:
-                key["label_window_end_days"] = params.label_window_end_days
-            return key
         if spec.name == "train_forecaster":
             if not params.train_forecaster:
                 return None  # nothing expensive to persist
-            key = {
+            return {
                 "labels": _digest_array(np.asarray(context["labels"], dtype=np.int64)),
                 "centers": _digest_array(context["categorizer"].centers),
                 "forecaster_splits": self.forecaster_splits,
@@ -814,16 +766,6 @@ class OfflinePipeline:
                 "forecast_input_days": params.forecast_input_days,
                 "forecast_label_period_seconds": params.forecast_label_period_seconds,
             }
-            # Warm-started (fine-tuned) fits depend on the starting weights;
-            # both extras are conditional so cold-fit digests stay unchanged.
-            warm = self._warm_start_candidate(context["categorizer"])
-            if warm is not None:
-                key["warm_start"] = [
-                    _digest_array(parameter) for parameter in warm.get_parameters()
-                ]
-            if self.forecaster_epochs is not None:
-                key["forecaster_epochs"] = self.forecaster_epochs
-            return key
         return None
 
     def _stage_digest(
@@ -1005,7 +947,7 @@ class OfflinePipeline:
             self.source,
             cheapest_profile.configuration,
             start_time=0.0,
-            end_time=self.label_window_end,
+            end_time=self.unlabeled_end,
             period_seconds=params.forecast_label_period_seconds,
             evaluator=self.evaluations,
         )
@@ -1058,24 +1000,9 @@ class OfflinePipeline:
             n_categories=categorizer.actual_categories,
             n_splits=self.forecaster_splits,
         )
-        warm = self._warm_start_candidate(categorizer)
-        if warm is not None:
-            forecaster.warm_start_from(warm)
-        forecaster.fit(train_set, epochs=self.forecaster_epochs)
+        forecaster.fit(train_set)
         context["forecaster"] = forecaster
         context["forecast_validation_mae"] = forecaster.evaluate_mae(validation_set)
-
-    def _warm_start_candidate(self, categorizer: ContentCategorizer) -> Optional[ContentForecaster]:
-        """The warm-start forecaster, or ``None`` when absent/shape-mismatched."""
-        warm = self.warm_start_forecaster
-        if warm is None or not warm.is_fitted:
-            return None
-        if (
-            warm.n_categories != categorizer.actual_categories
-            or warm.n_splits != self.forecaster_splits
-        ):
-            return None
-        return warm
 
     def _dump_train_forecaster(
         self, context: Dict[str, Any]

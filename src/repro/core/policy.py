@@ -89,7 +89,6 @@ class SkyscraperPolicy:
         self._last_switch_time: Optional[float] = None
         self._last_decision: Optional[PolicyDecision] = None
         self._next_planning_time: Optional[float] = None
-        self.replans = 0
 
     # ------------------------------------------------------------------ #
     # Policy protocol
@@ -150,7 +149,6 @@ class SkyscraperPolicy:
         forecast = self._forecast(now)
         plan = self.planner.plan(forecast, self.budget_core_seconds_per_segment)
         self.switcher.update_plan(plan)
-        self.replans += 1
 
     def _forecast(self, now: float) -> np.ndarray:
         n_categories = self.categorizer.actual_categories

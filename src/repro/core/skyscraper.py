@@ -150,12 +150,6 @@ class Skyscraper:
         self.categorizer: Optional[ContentCategorizer] = None
         self.forecaster: Optional[ContentForecaster] = None
         self.report: Optional[OfflinePhaseReport] = None
-        # How the last fit was produced, recorded so staged re-fits can
-        # reconstruct an identical pipeline (and hit its stage cache).
-        # ``None`` when the instance was restored from artifacts.
-        self.fit_params: Optional[OfflineFitParams] = None
-        self.fit_source: Optional[SyntheticVideoSource] = None
-        self.fit_stage_cache_dir: Optional[Path] = None
         # The last initial plan build_policy solved, keyed on its LP inputs.
         self._initial_plan_memo: Optional[Tuple[tuple, KnobPlan]] = None
 
@@ -222,11 +216,6 @@ class Skyscraper:
         self.categorizer = result.categorizer
         self.forecaster = result.forecaster
         self.report = result.report
-        self.fit_params = pipeline.params
-        self.fit_source = source
-        self.fit_stage_cache_dir = (
-            Path(stage_cache_dir) if stage_cache_dir is not None else None
-        )
         return result.report
 
     def _label_history(
@@ -275,8 +264,9 @@ class Skyscraper:
         re-measurement would repeat the placements already profiled, so the
         clone gets fresh profile objects over those frozen placements, with
         the same mean and per-category qualities a re-profile attaches.
-        Fresh objects keep the clone's category-quality updates (the
-        adaptive policy's) away from this instance.
+        Fresh objects keep a later
+        :meth:`~repro.core.profiles.ProfileSet.set_category_qualities` on
+        the clone away from this instance.
         """
         if self.profiles is None or self.categorizer is None or self.report is None:
             raise NotFittedError("Skyscraper.fit must run before re-provisioning")
@@ -298,9 +288,6 @@ class Skyscraper:
         clone.categorizer = self.categorizer
         clone.forecaster = self.forecaster
         clone.report = self.report
-        clone.fit_params = self.fit_params
-        clone.fit_source = self.fit_source
-        clone.fit_stage_cache_dir = self.fit_stage_cache_dir
         if resources.cores == self.resources.cores and clone.cloud == self.cloud:
             clone.profiles = ProfileSet(
                 [
@@ -359,18 +346,8 @@ class Skyscraper:
             )
         return on_prem + cloud_core_seconds
 
-    def build_policy(
-        self,
-        segment_seconds: float,
-        policy_class: Optional[type] = None,
-        **policy_extras,
-    ) -> SkyscraperPolicy:
-        """Construct the online policy from the offline artifacts.
-
-        ``policy_class`` swaps in a :class:`SkyscraperPolicy` subclass (the
-        adaptive policy uses this); ``policy_extras`` are forwarded to its
-        constructor on top of the standard arguments.
-        """
+    def build_policy(self, segment_seconds: float) -> SkyscraperPolicy:
+        """Construct the online policy from the offline artifacts."""
         if self.profiles is None or self.categorizer is None or self.report is None:
             raise NotFittedError("Skyscraper.fit must run before building the online policy")
         planner = KnobPlanner(self.profiles, self.categorizer.actual_categories)
@@ -380,9 +357,7 @@ class Skyscraper:
                 self.categorizer.actual_categories, 1.0 / self.categorizer.actual_categories
             )
         budget = self.budget_core_seconds_per_segment(segment_seconds)
-        cls = policy_class or SkyscraperPolicy
-        return cls(
-            **policy_extras,
+        return SkyscraperPolicy(
             profiles=self.profiles,
             categorizer=self.categorizer,
             planner=planner,
@@ -405,8 +380,8 @@ class Skyscraper:
         forecast, budget and profiles, so they share one plan, made
         read-only.  The memo key is :meth:`KnobPlanner.plan_inputs
         <repro.core.planner.KnobPlanner.plan_inputs>`, the exact inputs
-        ``plan`` solves from.  When the adaptive policy rewrites the category
-        qualities, the key changes and the next policy gets a fresh solve.
+        ``plan`` solves from.  When the profiles' category qualities change
+        in between, the key changes and the next policy gets a fresh solve.
         """
         key = planner.plan_inputs(initial_forecast, budget).key
         memo = self._initial_plan_memo

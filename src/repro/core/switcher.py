@@ -62,8 +62,7 @@ class KnobSwitcher:
 
     Args:
         profiles: the filtered, profiled knob configurations.
-        categorizer: fitted content categorizer (reassignable: the adaptive
-            policy installs a re-fitted one).
+        categorizer: fitted content categorizer.
         plan: the current knob plan (replaced by :meth:`update_plan` when the
             planner re-runs).
         segment_duration: length of the video chunk one decision covers, in
@@ -89,7 +88,9 @@ class KnobSwitcher:
         if not 0.0 < safety_margin <= 1.0:
             raise ConfigurationError("safety_margin must be in (0, 1]")
         self.profiles = profiles
-        self.categorizer = categorizer
+        self._categorizer = categorizer
+        #: each configuration's column of category centers (Equation 5).
+        self._center_columns = categorizer.centers.T.tolist()
         self.plan = plan
         self.segment_duration = segment_duration
         self.buffer_capacity_bytes = buffer_capacity_bytes
@@ -135,12 +136,6 @@ class KnobSwitcher:
     @property
     def categorizer(self) -> ContentCategorizer:
         return self._categorizer
-
-    @categorizer.setter
-    def categorizer(self, categorizer: ContentCategorizer) -> None:
-        self._categorizer = categorizer
-        #: each configuration's column of category centers (Equation 5).
-        self._center_columns = categorizer.centers.T.tolist()
 
     def update_plan(self, plan: KnobPlan) -> None:
         """Install a freshly computed knob plan (every planned interval)."""

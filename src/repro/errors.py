@@ -65,10 +65,6 @@ class PlacementError(ReproError):
     """Raised when no task placement can ingest a configuration in time."""
 
 
-class SchedulingError(ReproError):
-    """Raised by the cluster executor when a task cannot be scheduled."""
-
-
 class QueryError(ReproError):
     """Raised by the warehouse query layer for malformed queries."""
 

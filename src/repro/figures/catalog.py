@@ -14,13 +14,10 @@ setup; smoke mode shrinks windows and sweep axes further for CI.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from typing import Any, Dict, List
 
 import numpy as np
-
-from repro.adaptation import DriftConfig
 
 from repro.baselines.idealized import idealized_assignment
 from repro.baselines.optimum import optimum_assignment
@@ -1830,29 +1827,27 @@ def _run_fleet_joint_planning(ctx: FigureContext) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# Online adaptation: drift-triggered staged re-fits (beyond the paper)
+# Regime shift: fit-once Skyscraper on drifting content (beyond the paper)
 # --------------------------------------------------------------------- #
-#: Provisioned cores of the adaptation experiment: tight enough that the
+#: Provisioned cores of the regime-shift experiment: tight enough that the
 #: knob plan has to ration quality across categories.
-ADAPTATION_CORES = 2
+REGIME_SHIFT_CORES = 2
 #: Post-shift regime of the drift workload (see ``make_regime_setup``).
-ADAPTATION_ACTIVITY_SHIFT = 0.45
-ADAPTATION_BURST_SCALE = 2.5
-#: Quality margin of the adaptive-beats-static gate.
-ADAPTATION_MARGIN = 0.02
+REGIME_SHIFT_ACTIVITY_SHIFT = 0.45
+REGIME_SHIFT_BURST_SCALE = 2.5
+#: Quality margin of the skyscraper-beats-static gate.
+REGIME_SHIFT_MARGIN = 0.02
 
 
 @register_figure(
-    "online_adaptation",
-    title="Online adaptation under content drift: monitor + staged re-fit",
-    paper_reference="Sections 3-4 extension (beyond the paper): online re-learning",
+    "regime_shift",
+    title="Robustness to a mid-run regime shift: fit-once Skyscraper vs static",
+    paper_reference="Sections 3-4 extension (beyond the paper): content drift",
     claim=(
-        "On a regime-switching stream the fit-once static configuration "
-        "degrades after the shift while the adaptive policy holds quality: "
-        "the CUSUM drift monitor fires on the regime boundary, the staged "
-        "re-fit re-runs only the labeling and forecaster stages (sampling, "
-        "filtering and clustering come back as stage-cache hits), and the "
-        "adaptive policy beats the static baseline by a clear margin."
+        "On a regime-switching stream fitted only on pre-shift history, the "
+        "fit-once Skyscraper (knob switcher plus a knob plan re-solved every "
+        "planned interval) still beats the best static configuration by a "
+        "clear margin after the content gets harder."
     ),
     schema={
         "rows": [
@@ -1864,13 +1859,6 @@ ADAPTATION_MARGIN = 0.02
                 "cloud_dollars": "number",
             }
         ],
-        "adaptation": {
-            "drift_triggers": "number",
-            "refits": "number",
-            "refit_stage_cache_hits": "number",
-            "refit_wall_seconds": "number",
-            "replans": "number",
-        },
         "regime": {
             "shift_time_seconds": "number",
             "activity_shift": "number",
@@ -1879,17 +1867,17 @@ ADAPTATION_MARGIN = 0.02
         },
     },
     workloads=("ev-regime",),
-    systems=("static", "skyscraper", "skyscraper_adaptive"),
+    systems=("static", "skyscraper"),
 )
-def _run_online_adaptation(ctx: FigureContext) -> Dict[str, Any]:
-    """``online_adaptation``: Online adaptation under content drift: monitor + staged re-fit."""
+def _run_regime_shift(ctx: FigureContext) -> Dict[str, Any]:
+    """``regime_shift``: Robustness to a mid-run regime shift: fit-once Skyscraper vs static."""
     history_days = ctx.history_days
     online_days = ctx.scale(0.06, 0.025)
     setup = make_regime_setup(
         history_days=history_days,
         online_days=online_days,
-        activity_shift=ADAPTATION_ACTIVITY_SHIFT,
-        burst_scale=ADAPTATION_BURST_SCALE,
+        activity_shift=REGIME_SHIFT_ACTIVITY_SHIFT,
+        burst_scale=REGIME_SHIFT_BURST_SCALE,
     )
     config = ExperimentConfig(
         history_days=history_days,
@@ -1901,39 +1889,17 @@ def _run_online_adaptation(ctx: FigureContext) -> Dict[str, Any]:
         forecast_input_days=history_days / 3.0,
         forecast_label_period_seconds=ctx.scale(60.0, 120.0),
     )
-    # The staged re-fit resolves its cache hits through the stage cache the
-    # original fit populated, so the figure always runs with one (a private
-    # temporary directory when the suite has no shared cache).
-    cache_dir = ctx.provider.cache_dir
-    scratch = None
-    if cache_dir is None:
-        scratch = tempfile.TemporaryDirectory(prefix="adaptation-cache-")
-        cache_dir = scratch.name
-    try:
-        bundle = prepare_bundle(
-            setup,
-            config,
-            cache_dir=cache_dir,
-            fit_workers=ctx.provider.fit_workers,
-        )
-        runner = ExperimentRunner(bundle)
-        results = {}
-        for system in ("static", "skyscraper"):
-            results[system] = runner.run(system, cores=ADAPTATION_CORES)
-        drift_warmup = ctx.scale(192, 96)
-        per_segment_config = DriftConfig(
-            burn_in=64, warmup=drift_warmup, cooldown=drift_warmup
-        )
-        results["skyscraper_adaptive"] = runner.run(
-            "skyscraper_adaptive",
-            cores=ADAPTATION_CORES,
-            confidence=per_segment_config,
-            quality=per_segment_config,
-            forecast_check_segments=ctx.scale(32, 24),
-        )
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+    bundle = prepare_bundle(
+        setup,
+        config,
+        cache_dir=ctx.provider.cache_dir,
+        fit_workers=ctx.provider.fit_workers,
+    )
+    runner = ExperimentRunner(bundle)
+    results = {
+        system: runner.run(system, cores=REGIME_SHIFT_CORES)
+        for system in ("static", "skyscraper")
+    }
 
     rows = [
         {
@@ -1945,58 +1911,27 @@ def _run_online_adaptation(ctx: FigureContext) -> Dict[str, Any]:
         }
         for system, result in results.items()
     ]
-    metrics = results["skyscraper_adaptive"].policy_metrics
     static_quality = results["static"].mean_true_quality
     sky_quality = results["skyscraper"].mean_true_quality
-    adaptive_quality = results["skyscraper_adaptive"].mean_true_quality
-    shift_time = setup.workload.regimes.boundaries_seconds[0]
-    online_segments = results["skyscraper_adaptive"].segments_total
 
     return {
         "headline": (
-            f"adaptive {adaptive_quality:.3f} vs static {static_quality:.3f} "
-            f"true quality under a mid-run regime shift "
-            f"({metrics.get('drift_triggers', 0):.0f} drift triggers, "
-            f"{metrics.get('refits', 0):.0f} staged re-fits with "
-            f"{metrics.get('refit_stage_cache_hits', 0):.0f} stage-cache hits)"
+            f"skyscraper {sky_quality:.3f} vs static {static_quality:.3f} "
+            f"true quality under a mid-run regime shift"
         ),
         "rows": rows,
-        "adaptation": {
-            "drift_triggers": metrics.get("drift_triggers", 0.0),
-            "refits": metrics.get("refits", 0.0),
-            "refit_stage_cache_hits": metrics.get("refit_stage_cache_hits", 0.0),
-            "refit_wall_seconds": round(metrics.get("refit_wall_seconds", 0.0), 4),
-            "replans": metrics.get("replans", 0.0),
-        },
         "regime": {
-            "shift_time_seconds": shift_time,
-            "activity_shift": ADAPTATION_ACTIVITY_SHIFT,
-            "burst_scale": ADAPTATION_BURST_SCALE,
-            "online_segments": online_segments,
+            "shift_time_seconds": setup.workload.regimes.boundaries_seconds[0],
+            "activity_shift": REGIME_SHIFT_ACTIVITY_SHIFT,
+            "burst_scale": REGIME_SHIFT_BURST_SCALE,
+            "online_segments": results["skyscraper"].segments_total,
         },
         "checks": [
             check(
-                "adaptive_beats_static_by_margin",
-                adaptive_quality >= static_quality + ADAPTATION_MARGIN,
-                f"adaptive {adaptive_quality:.4f} vs static {static_quality:.4f} "
-                f"(margin {ADAPTATION_MARGIN})",
-            ),
-            check(
-                "drift_monitor_fired",
-                metrics.get("drift_triggers", 0.0) >= 1.0,
-                f"{metrics.get('drift_triggers', 0.0):.0f} triggers",
-            ),
-            check(
-                "staged_refit_reused_cached_stages",
-                metrics.get("refits", 0.0) >= 1.0
-                and metrics.get("refit_stage_cache_hits", 0.0) > 0.0,
-                f"{metrics.get('refits', 0.0):.0f} re-fits, "
-                f"{metrics.get('refit_stage_cache_hits', 0.0):.0f} cache hits",
-            ),
-            check(
-                "adaptive_tracks_full_skyscraper",
-                adaptive_quality >= sky_quality - 0.03,
-                f"adaptive {adaptive_quality:.4f} vs skyscraper {sky_quality:.4f}",
+                "skyscraper_beats_static_by_margin",
+                sky_quality >= static_quality + REGIME_SHIFT_MARGIN,
+                f"skyscraper {sky_quality:.4f} vs static {static_quality:.4f} "
+                f"(margin {REGIME_SHIFT_MARGIN})",
             ),
         ],
     }

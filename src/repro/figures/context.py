@@ -38,8 +38,9 @@ from repro.workloads.mot import make_mot_setup
 from repro.workloads.regime import make_regime_setup
 
 #: The evaluation workloads specs may request, by registry-style name
-#: ("ev-regime" is the regime-switching drift workload of the adaptation
-#: experiments, not part of the paper's five-workload evaluation sweep).
+#: ("ev-regime" is the regime-switching drift workload of the
+#: ``regime_shift`` figure, not part of the paper's five-workload
+#: evaluation sweep).
 WORKLOAD_NAMES = ("covid", "mot", "mosei-high", "mosei-long", "ev", "ev-regime")
 
 #: Window sizes per mode: full mode matches the legacy benchmark scale

@@ -32,7 +32,6 @@ from typing import (
     Tuple,
 )
 
-from repro.adaptation import DriftConfig, build_adaptive_policy
 from repro.baselines.chameleon import ChameleonStarPolicy
 from repro.baselines.idealized import time_of_day_forecast
 from repro.baselines.optimum import optimum_assignment
@@ -260,50 +259,6 @@ def _default_budget(context: RunContext, n_segments: int) -> float:
 def _skyscraper_factory(context: RunContext) -> Policy:
     """The paper's system: the fitted Skyscraper's engine policy."""
     return context.skyscraper.build_policy(context.segment_seconds)
-
-
-@register_policy(
-    "skyscraper_adaptive",
-    uses_cloud=True,
-    aliases=("adaptive",),
-    description="Skyscraper + CUSUM drift monitor with staged incremental re-fits",
-)
-def _skyscraper_adaptive_factory(
-    context: RunContext,
-    monitor: bool = True,
-    refit: bool = True,
-    confidence: Optional[DriftConfig] = None,
-    forecast: Optional[DriftConfig] = None,
-    quality: Optional[DriftConfig] = None,
-    max_refits: int = 2,
-    forecast_check_segments: int = 32,
-    fine_tune_epochs: int = 60,
-) -> Policy:
-    """Skyscraper wrapped with the CUSUM drift monitor and staged re-fits."""
-    return build_adaptive_policy(
-        context.skyscraper,
-        context.segment_seconds,
-        monitor=monitor,
-        refit=refit,
-        confidence=confidence,
-        forecast=forecast,
-        quality=quality,
-        max_refits=max_refits,
-        forecast_check_segments=forecast_check_segments,
-        fine_tune_epochs=fine_tune_epochs,
-    )
-
-
-#: Systems that have a drop-in adaptive variant (``--adaptive`` in the
-#: service maps job systems through this table).
-ADAPTIVE_VARIANTS: Dict[str, str] = {"skyscraper": "skyscraper_adaptive"}
-
-
-def adaptive_system_name(name: str) -> str:
-    """The adaptive variant of ``name``; names without one pass through
-    (alias-resolved, so callers see the canonical registry name)."""
-    canonical = _ALIASES.get(name, name)
-    return ADAPTIVE_VARIANTS.get(canonical, canonical)
 
 
 @register_policy(

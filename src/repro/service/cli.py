@@ -91,7 +91,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         retry=RetryPolicy(max_retries=args.max_retries),
         collect_lags=True,
         planner=args.planner,
-        adaptive=args.adaptive,
     )
     if args.store:
         store = JsonFileJobStore(args.store)
@@ -273,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=planner_names(),
         help="joint fleet planner: allocate the shared budget/cores across "
         "tenants and enforce per-tenant sub-budgets",
-    )
-    run.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="run streams under their drift-adaptive system variant "
-        "(CUSUM monitor + staged incremental re-fits)",
     )
     run.add_argument("--smoke", action="store_true", help="CI-sized windows")
     run.add_argument("--timeout", type=float, default=600.0)

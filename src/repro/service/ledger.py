@@ -9,10 +9,11 @@ cross-process lock:
 * **conservation** — every charge lands in exactly one day bucket under the
   lock, so the per-day buckets always sum to the total charged, no matter
   how many workers charge concurrently;
-* **atomic day-reset** — a charge computes its day index *inside* the lock,
-  so a charge racing a day boundary is applied wholly to one day, and the
-  first reader of a new day observes the full daily allowance (the "reset"
-  is the atomic switch to a fresh, zeroed bucket);
+* **one day per charge** — a charge's bucket depends only on its ``time``
+  argument, so it is chosen outside the lock and a charge racing a day
+  boundary still lands wholly in one day's bucket; only the bucket's
+  read-modify-write holds the lock.  Each day starts from its own zeroed
+  bucket, so the first reader of a new day sees the full daily allowance;
 * **no lost updates** — read-modify-write of a bucket never interleaves.
 
 The ledger implements :class:`~repro.core.fleet.BudgetLedger`, so a

@@ -117,10 +117,6 @@ class ServiceConfig:
     cloud_budget_per_day: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     collect_lags: bool = False
-    #: Run every stream under its drift-adaptive system variant (see
-    #: :func:`repro.registry.adaptive_system_name`); workers then surface
-    #: drift-trigger/re-fit counters in each job outcome's metrics.
-    adaptive: bool = False
     planner: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -489,7 +485,6 @@ class FleetIngestionService:
                 buffer_bytes=self.config.buffer_bytes,
                 cloud_budget_per_day=self.config.cloud_budget_per_day,
                 collect_lags=self.config.collect_lags,
-                adaptive=self.config.adaptive,
             )
             process = context.Process(
                 target=worker_main,

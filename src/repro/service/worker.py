@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from repro.core.fleet import BudgetLedger
 from repro.experiments.runner import ExperimentRunner, SystemBundle
-from repro.registry import adaptive_system_name
 from repro.service.jobs import InjectedFaultError, classify_error
 from repro.service.ledger import SharedDailyLedger
 from repro.workloads.fleet import FleetScenario
@@ -69,9 +68,6 @@ class WorkerConfig:
     buffer_bytes: Optional[int] = None
     cloud_budget_per_day: Optional[float] = None
     collect_lags: bool = False
-    #: Upgrade every stream's system to its drift-adaptive variant (streams
-    #: whose system has no adaptive variant run unchanged).
-    adaptive: bool = False
 
 
 def run_batch(
@@ -117,18 +113,9 @@ def run_batch(
             replace(spec, system=overrides.get(spec.stream_id, spec.system))
             for spec in sub.streams
         ]
-    default_system = config.system
-    if config.adaptive:
-        default_system = adaptive_system_name(default_system)
-        sub.streams = [
-            replace(spec, system=adaptive_system_name(spec.system))
-            if spec.system is not None
-            else spec
-            for spec in sub.streams
-        ]
     try:
         result = runner.run_fleet(
-            default_system,
+            config.system,
             scenario=sub,
             scheduler=config.scheduler,
             cores=config.cores,
@@ -169,9 +156,6 @@ def run_batch(
             ),
             "max_lag_s": stream_result.max_lag_seconds,
         }
-        # Adaptive policies report drift/re-fit counters; ordinary policies
-        # report nothing, keeping legacy outcome payloads byte-identical.
-        metrics.update(stream_result.policy_metrics)
         lags = None
         if config.collect_lags:
             lags = [

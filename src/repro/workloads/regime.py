@@ -1,13 +1,13 @@
 """A regime-switching variant of the EV-counting workload.
 
-The adaptation experiments need a stream whose content statistics *change*
-mid-run: models fitted on the recorded history degrade after the switch, and
-the drift monitor should notice.  :class:`RegimeShiftWorkload` is the EV
-workload with a :class:`~repro.video.content.RegimeSchedule` attached to its
-content model — e.g. a construction site opening next to the intersection
-partway through the online window: baseline activity jumps and traffic
-bursts become heavier, so segments get harder (more occlusion, more objects)
-than anything the offline phase saw.
+The ``regime_shift`` figure needs a stream whose content statistics *change*
+mid-run, so that models fitted on the recorded history face content they
+never saw.  :class:`RegimeShiftWorkload` is the EV workload with a
+:class:`~repro.video.content.RegimeSchedule` attached to its content model —
+e.g. a construction site opening next to the intersection partway through
+the online window: baseline activity jumps and traffic bursts become
+heavier, so segments get harder (more occlusion, more objects) than anything
+the offline phase saw.
 
 :func:`make_regime_setup` places the regime boundary *inside* the online
 window (30% in by default) so the offline fit is purely pre-shift.

@@ -3,8 +3,7 @@
 Three families, each across 25+ seeds:
 
 * **stationarity** — on streams drawn from the warmup distribution the
-  detector stays silent at the default threshold (the false-alarm rate the
-  adaptive policy's re-fit budget is sized for);
+  detector stays silent at the default threshold;
 * **bounded-lag detection** — a sustained mean or variance shift fires, and
   fires within a small multiple of the theoretical ``h / (delta - k)``
   detection lag;
@@ -141,7 +140,7 @@ def test_no_hysteresis_config_flaps(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rebaselined_detector_rearms_on_new_regime(seed):
-    """After ``reset`` (the policy's post-re-fit rebaseline) the shifted
+    """After ``reset`` (a rebaseline once the watched models change) the shifted
     regime becomes the new baseline: the detector warms up on it, stays
     silent, and fires again only on a *further* shift."""
     rng = np.random.default_rng(6_000 + seed)

@@ -169,10 +169,6 @@ def test_live_switcher_matches_frozen_switcher(seed):
             replanned = _random_plan(rng, n_configurations, n_categories)
             live.update_plan(replanned)
             frozen.update_plan(replanned)
-        if step == 2 * steps // 3:
-            refitted = _random_categorizer(rng, n_configurations, n_categories)
-            live.categorizer = refitted
-            frozen.categorizer = refitted
         inputs = _decide_inputs(rng, profiles, live.categorizer.centers, capacity, step)
         ours = live.decide(**inputs)
         theirs = frozen.decide(**inputs)

@@ -17,6 +17,7 @@ from repro.figures import (
     unregister_figure,
     write_report,
 )
+from repro.figures.catalog import REGIME_SHIFT_MARGIN
 from repro.figures.suite import STATUS_CHECK_FAILED, STATUS_ERROR, STATUS_OK
 
 
@@ -116,6 +117,17 @@ def test_smoke_mode_artifact_is_deterministic():
     assert json.dumps(first.payload, sort_keys=True) == json.dumps(
         second.payload, sort_keys=True
     )
+
+
+def test_regime_shift_smoke_skyscraper_beats_static():
+    """Fit on pre-shift history only, Skyscraper still beats static by the margin."""
+    artifact = FigureSuite(smoke=True).run_one("regime_shift")
+    assert artifact.status == STATUS_OK, artifact.error
+    quality = {
+        row["system"]: row["mean_true_quality"] for row in artifact.payload["rows"]
+    }
+    assert list(quality) == ["static", "skyscraper"]
+    assert quality["skyscraper"] >= quality["static"] + REGIME_SHIFT_MARGIN
 
 
 # ------------------------------------------------------------------ #

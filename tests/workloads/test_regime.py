@@ -1,6 +1,6 @@
 """Determinism of the regime-switching workload.
 
-The adaptation figure's claim rests on the regime workload being a fixed,
+The ``regime_shift`` figure's claim rests on the regime workload being a fixed,
 replayable universe: content states must be bit-identical across batch
 chunkings and :meth:`ContentModel.with_seed` replicas (fleet scenarios
 re-seed cameras through it), and the offline fit must not depend on whether
