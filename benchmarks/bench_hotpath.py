@@ -18,7 +18,10 @@ pre-vectorization implementations in ``repro.core.reference``:
   decision stream;
 * ``fleet_scaling_32`` — the full fleet simulation at 32 skyscraper
   streams: the vectorized ``FleetEngine.run`` vs ``reference_fleet_run``
-  driving scalar segment generation and the frozen switcher.
+  driving scalar segment generation and the frozen switcher;
+* ``forecaster_fit`` — the forecaster's training on a dataset shaped like
+  the offline benchmark's (937 windows of 8 x 4 histograms): the live
+  flat-buffer ``MLP.fit`` vs the per-layer ``frozen_mlp_fit``.
 
 Each side of a kernel runs :data:`REPEATS` times; repeats alternate which
 side runs first and build cold inputs afresh, and a row reports each side's
@@ -51,9 +54,11 @@ from benchmarks.common import append_trajectory, emit_bench, print_header
 
 from repro.core import reference
 from repro.core.fleet import FleetEngine, FleetStream
+from repro.core.forecaster import ForecastDataset
 from repro.core.reference import (
     frozen_burst_intensity_at,
     frozen_bursts_for_day,
+    frozen_mlp_fit,
     frozen_twin,
     reference_fleet_run,
     scalar_segments,
@@ -63,6 +68,7 @@ from repro.core.reference import (
 from repro.experiments.results import ExperimentTable
 from repro.experiments.runner import ExperimentRunner
 from repro.figures.context import BundleProvider
+from repro.ml.mlp import MLP
 from repro.registry import create_policy
 from repro.video.content import SECONDS_PER_DAY
 from repro.workloads.fleet import make_fleet_scenario
@@ -82,6 +88,16 @@ COLD_WINDOW_CAMERAS = 64
 COLD_WINDOW_SHIFT_SECONDS = 3_600.0
 COLD_WINDOW_START_DAYS = 0.5
 COLD_WINDOW_DAYS = 0.002
+
+#: The forecaster kernel's dataset has the offline benchmark's shape: 16 days
+#: of 240 s labels over 4 categories, windowed into a 1-day look-back of 8
+#: splits and a 2-day target, give 1,171 windows, and the first 80% train.
+FORECASTER_DAYS = 16.0
+FORECASTER_LABEL_SECONDS = 240.0
+FORECASTER_CATEGORIES = 4
+FORECASTER_SPLITS = 8
+FORECASTER_INPUT_DAYS = 1.0
+FORECASTER_OUTPUT_DAYS = 2.0
 
 #: Timed runs of each side of every kernel.
 REPEATS = 3
@@ -393,6 +409,70 @@ def bench_fleet_scaling(runner, bundle, n_streams: int) -> Dict[str, Any]:
     }
 
 
+def _forecaster_dataset() -> ForecastDataset:
+    """The training split of a forecaster dataset built from sticky labels.
+
+    Labels follow a seeded chain that keeps its category with probability
+    0.95 per label, so windows hold mixed, drifting histograms.
+    """
+    rng = np.random.default_rng(0)
+    n_labels = int(FORECASTER_DAYS * SECONDS_PER_DAY / FORECASTER_LABEL_SECONDS)
+    switches = rng.random(n_labels) >= 0.95
+    draws = rng.integers(0, FORECASTER_CATEGORIES, size=n_labels)
+    labels = draws[np.maximum.accumulate(np.where(switches, np.arange(n_labels), 0))]
+    dataset = ForecastDataset.from_labels(
+        labels=labels,
+        n_categories=FORECASTER_CATEGORIES,
+        label_period_seconds=FORECASTER_LABEL_SECONDS,
+        input_seconds=FORECASTER_INPUT_DAYS * SECONDS_PER_DAY,
+        output_seconds=FORECASTER_OUTPUT_DAYS * SECONDS_PER_DAY,
+        n_splits=FORECASTER_SPLITS,
+    )
+    train_set, _ = dataset.split(0.8)
+    return train_set
+
+
+def bench_forecaster_fit() -> Dict[str, Any]:
+    """The flat-buffer ``MLP.fit`` vs the frozen per-layer trainer.
+
+    Each repeat trains two fresh networks with the default configuration
+    (Appendix K: 16 -> 8 ReLU, softmax, 40 epochs of Adam).  Parity compares
+    the bytes of every parameter and every epoch's losses, and the chosen
+    epoch.
+    """
+    dataset = _forecaster_dataset()
+    inputs, targets = dataset.inputs, dataset.targets
+    n_inputs, n_outputs = inputs.shape[1], targets.shape[1]
+
+    def make_sides():
+        live, frozen = MLP(n_inputs, n_outputs), MLP(n_inputs, n_outputs)
+        return (
+            lambda: (live, live.fit(inputs, targets)),
+            lambda: (frozen, frozen_mlp_fit(frozen, inputs, targets)),
+        )
+
+    def parity(live, frozen) -> bool:
+        (live_network, ours), (frozen_network, theirs) = live, frozen
+        return (
+            all(
+                _same_bytes(a, b)
+                for a, b in zip(live_network.get_parameters(), frozen_network.get_parameters())
+            )
+            and _same_bytes(np.array(ours.train_loss), np.array(theirs.train_loss))
+            and _same_bytes(np.array(ours.validation_loss), np.array(theirs.validation_loss))
+            and ours.best_epoch == theirs.best_epoch
+        )
+
+    timing, (_, history) = _time_sides(make_sides, parity)
+    return {
+        "kernel": "forecaster_fit",
+        "n": int(inputs.shape[0]),
+        "epochs": len(history.train_loss),
+        "best_epoch": history.best_epoch,
+        **timing,
+    }
+
+
 # --------------------------------------------------------------------- #
 # Harness
 # --------------------------------------------------------------------- #
@@ -413,6 +493,7 @@ def run_hotpath_bench(smoke: bool = False) -> Dict[str, Any]:
         bench_segment_record(source, 4_320.0 if smoke else 86_400.0),
         bench_switcher_select(context, 2_000 if smoke else 20_000),
         bench_fleet_scaling(runner, bundle, 8 if smoke else FLEET_STREAMS),
+        bench_forecaster_fit(),
     ]
 
     print_header(

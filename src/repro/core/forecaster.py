@@ -181,8 +181,8 @@ class ContentForecaster:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def fit(self, dataset: ForecastDataset, epochs: Optional[int] = None):
-        """Train (or fine-tune) on a :class:`ForecastDataset`."""
+    def fit(self, dataset: ForecastDataset):
+        """Train on a :class:`ForecastDataset` (``config.epochs`` epochs)."""
         if dataset.n_categories != self.n_categories or dataset.n_splits != self.n_splits:
             raise ConfigurationError(
                 "dataset shape does not match the forecaster "
@@ -190,7 +190,7 @@ class ContentForecaster:
                 f"splits {dataset.n_splits} vs {self.n_splits})"
             )
         self.input_seconds = dataset.input_seconds
-        return self._network.fit(dataset.inputs, dataset.targets, epochs=epochs)
+        return self._network.fit(dataset.inputs, dataset.targets)
 
     @property
     def is_fitted(self) -> bool:

@@ -899,16 +899,19 @@ class OfflinePipeline:
         )
         segments = _gather_segments(self.source, sample_indices)
         profiles: ProfileSet = context["profiles"]
+        # Configuration-major, so each configuration reaches the workload's
+        # evaluate_config_batch as one run over every sampled segment.
         pairs = [
             (profile.configuration, segment)
-            for segment in segments
             for profile in profiles
+            for segment in segments
         ]
         outcomes = self.evaluations.evaluate_many(pairs)
-        quality_vectors = np.array(
+        qualities = np.array(
             [outcome.reported_quality for outcome in outcomes], dtype=float
-        ).reshape(len(segments), len(profiles))
-        context["quality_vectors"] = quality_vectors
+        ).reshape(len(profiles), len(segments))
+        # One row per segment, C-contiguous like the segment-major build.
+        context["quality_vectors"] = np.ascontiguousarray(qualities.T)
         self._fit_categorizer(context)
 
     def _fit_categorizer(self, context: Dict[str, Any]) -> None:

@@ -43,6 +43,11 @@ drawn by :func:`frozen_bursts_for_day`.  The live
 ``ContentModel._burst_intensity_at`` skips day ``d - 1`` where none of its
 bursts can still be running, and must match it bit for bit.
 
+So is the forecaster's trainer (:func:`frozen_mlp_fit`): per-layer weight
+and bias arrays, fresh gradient lists per mini-batch and an Adam step that
+loops over the layers.  The live ``MLP.fit`` trains a flat parameter buffer
+with one fused Adam step and must match it bit for bit.
+
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
 change of the engine.
@@ -66,6 +71,7 @@ from repro.core.planner import KnobPlan
 from repro.core.profiles import ProfileSet
 from repro.core.switcher import SwitchDecision
 from repro.errors import ConfigurationError
+from repro.ml.mlp import MLP, TrainingHistory
 from repro.video.content import (
     _BURST_BATCH_ROWS,
     SECONDS_PER_DAY,
@@ -842,3 +848,188 @@ def reference_fleet_run(
         stream_results={session.stream_id: session.finalize() for session in sessions},
         cloud_spend_by_day=dict(shared_ledger.spend_by_day),
     )
+
+
+class _FrozenMLPTrainer:
+    """The per-layer ``MLP`` training loop, verbatim.
+
+    Each layer's weights and biases are separate arrays, every mini-batch
+    builds fresh gradient lists, and :class:`_FrozenAdamState` updates the
+    layers one array at a time.  It trains copies of a network's initial
+    parameters and draws from the network's own generator, so it consumes
+    the same random stream as the live ``MLP.fit``.
+    """
+
+    def __init__(self, network: MLP):
+        self.config = network.config
+        self._rng = network._rng
+        parameters = network.get_parameters()
+        self._weights: List[np.ndarray] = parameters[0::2]
+        self._biases: List[np.ndarray] = parameters[1::2]
+
+    def get_parameters(self) -> List[np.ndarray]:
+        params: List[np.ndarray] = []
+        for weight, bias in zip(self._weights, self._biases):
+            params.append(weight.copy())
+            params.append(bias.copy())
+        return params
+
+    def set_parameters(self, parameters: Sequence[np.ndarray]) -> None:
+        for layer in range(len(self._weights)):
+            self._weights[layer] = np.array(parameters[2 * layer], dtype=float)
+            self._biases[layer] = np.array(parameters[2 * layer + 1], dtype=float)
+
+    def _forward(self, features: np.ndarray):
+        activations = [features]
+        current = features
+        for layer, (weight, bias) in enumerate(zip(self._weights, self._biases)):
+            pre_activation = current @ weight + bias
+            if layer < len(self._weights) - 1:
+                current = np.maximum(pre_activation, 0.0)
+            else:
+                current = self._output_activation(pre_activation)
+            activations.append(current)
+        return current, activations
+
+    def _output_activation(self, pre_activation: np.ndarray) -> np.ndarray:
+        if self.config.output_activation == "softmax":
+            shifted = pre_activation - pre_activation.max(axis=1, keepdims=True)
+            exps = np.exp(shifted)
+            return exps / exps.sum(axis=1, keepdims=True)
+        if self.config.output_activation == "sigmoid":
+            return 1.0 / (1.0 + np.exp(-pre_activation))
+        return pre_activation
+
+    def fit(self, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
+        features = np.asarray(inputs, dtype=float)
+        labels = np.asarray(targets, dtype=float)
+        if features.ndim != 2 or labels.ndim != 2:
+            raise ConfigurationError("fit expects 2-D inputs and targets")
+        if features.shape[0] != labels.shape[0]:
+            raise ConfigurationError("inputs and targets must have the same length")
+        if features.shape[0] == 0:
+            raise ConfigurationError("cannot fit on an empty training set")
+
+        n_samples = features.shape[0]
+        n_validation = int(round(n_samples * self.config.validation_split))
+        permutation = self._rng.permutation(n_samples)
+        validation_idx = permutation[:n_validation]
+        train_idx = permutation[n_validation:]
+        if train_idx.size == 0:
+            train_idx = permutation
+            validation_idx = permutation
+        train_x, train_y = features[train_idx], labels[train_idx]
+        val_x, val_y = (
+            (features[validation_idx], labels[validation_idx])
+            if validation_idx.size
+            else (train_x, train_y)
+        )
+
+        total_epochs = self.config.epochs
+        history = TrainingHistory()
+        best_parameters = self.get_parameters()
+        adam_state = _FrozenAdamState(self._weights, self._biases, self.config.learning_rate)
+
+        for epoch in range(1, total_epochs + 1):
+            epoch_loss = self._run_epoch(train_x, train_y, adam_state)
+            validation_loss = self._loss(val_x, val_y)
+            history.train_loss.append(epoch_loss)
+            history.validation_loss.append(validation_loss)
+            if validation_loss < history.best_validation_loss:
+                history.best_validation_loss = validation_loss
+                history.best_epoch = epoch
+                best_parameters = self.get_parameters()
+
+        self.set_parameters(best_parameters)
+        return history
+
+    def _run_epoch(self, train_x, train_y, adam_state) -> float:
+        n_samples = train_x.shape[0]
+        order = self._rng.permutation(n_samples)
+        batch_size = min(self.config.batch_size, n_samples)
+        total_loss = 0.0
+        n_batches = 0
+        for start in range(0, n_samples, batch_size):
+            batch_idx = order[start : start + batch_size]
+            loss = self._train_batch(train_x[batch_idx], train_y[batch_idx], adam_state)
+            total_loss += loss
+            n_batches += 1
+        return total_loss / max(n_batches, 1)
+
+    def _train_batch(self, batch_x, batch_y, adam_state) -> float:
+        outputs, activations = self._forward(batch_x)
+        batch_size = batch_x.shape[0]
+        error = outputs - batch_y
+        loss = float(np.mean(error**2))
+
+        grad = 2.0 * error / batch_size
+        weight_grads: List[np.ndarray] = [np.empty(0)] * len(self._weights)
+        bias_grads: List[np.ndarray] = [np.empty(0)] * len(self._biases)
+        for layer in reversed(range(len(self._weights))):
+            layer_input = activations[layer]
+            weight_grads[layer] = layer_input.T @ grad + self.config.weight_decay * self._weights[layer]
+            bias_grads[layer] = grad.sum(axis=0)
+            if layer > 0:
+                grad = grad @ self._weights[layer].T
+                grad = grad * (activations[layer] > 0)
+
+        adam_state.step(self._weights, self._biases, weight_grads, bias_grads)
+        return loss
+
+    def _loss(self, features: np.ndarray, labels: np.ndarray) -> float:
+        outputs, _ = self._forward(features)
+        return float(np.mean((outputs - labels) ** 2))
+
+
+class _FrozenAdamState:
+    """Adam optimizer state for per-layer weights and biases, verbatim."""
+
+    def __init__(self, weights, biases, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.m_weights = [np.zeros_like(w) for w in weights]
+        self.v_weights = [np.zeros_like(w) for w in weights]
+        self.m_biases = [np.zeros_like(b) for b in biases]
+        self.v_biases = [np.zeros_like(b) for b in biases]
+
+    def step(self, weights, biases, weight_grads, bias_grads) -> None:
+        self.step_count += 1
+        correction1 = 1.0 - self.beta1**self.step_count
+        correction2 = 1.0 - self.beta2**self.step_count
+        for layer in range(len(weights)):
+            self.m_weights[layer] = (
+                self.beta1 * self.m_weights[layer] + (1 - self.beta1) * weight_grads[layer]
+            )
+            self.v_weights[layer] = (
+                self.beta2 * self.v_weights[layer] + (1 - self.beta2) * weight_grads[layer] ** 2
+            )
+            m_hat = self.m_weights[layer] / correction1
+            v_hat = self.v_weights[layer] / correction2
+            weights[layer] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+            self.m_biases[layer] = (
+                self.beta1 * self.m_biases[layer] + (1 - self.beta1) * bias_grads[layer]
+            )
+            self.v_biases[layer] = (
+                self.beta2 * self.v_biases[layer] + (1 - self.beta2) * bias_grads[layer] ** 2
+            )
+            m_hat_b = self.m_biases[layer] / correction1
+            v_hat_b = self.v_biases[layer] / correction2
+            biases[layer] -= self.learning_rate * m_hat_b / (np.sqrt(v_hat_b) + self.eps)
+
+
+def frozen_mlp_fit(network: MLP, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
+    """Train ``network`` as the per-layer ``MLP.fit`` did, draw for draw.
+
+    Starts from the network's current parameters and generator, keeps the
+    best validation epoch's parameters, and leaves the network fitted with
+    them and with the returned history, as ``MLP.fit`` does.
+    """
+    trainer = _FrozenMLPTrainer(network)
+    history = trainer.fit(inputs, targets)
+    network.restore_parameters(trainer.get_parameters())
+    network.history = history
+    return history

@@ -44,7 +44,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     ExperimentRunner,
     cost_reduction_factor,
-    prepare_bundle,
 )
 from repro.figures.context import FigureContext, make_setup
 from repro.figures.spec import check, register_figure
@@ -1889,13 +1888,7 @@ def _run_regime_shift(ctx: FigureContext) -> Dict[str, Any]:
         forecast_input_days=history_days / 3.0,
         forecast_label_period_seconds=ctx.scale(60.0, 120.0),
     )
-    bundle = prepare_bundle(
-        setup,
-        config,
-        cache_dir=ctx.provider.cache_dir,
-        fit_workers=ctx.provider.fit_workers,
-    )
-    runner = ExperimentRunner(bundle)
+    runner = ExperimentRunner(ctx.provider.fit(setup, config))
     results = {
         system: runner.run(system, cores=REGIME_SHIFT_CORES)
         for system in ("static", "skyscraper")

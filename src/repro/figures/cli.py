@@ -21,12 +21,19 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import repro.figures.catalog  # noqa: F401  (registers the built-in specs)
 from repro.figures.report import check_report, render_report, write_report
 from repro.figures.spec import figure_names, figure_spec
-from repro.figures.suite import STATUS_ERROR, STATUS_OK, FigureSuite, load_artifacts
+from repro.figures.suite import (
+    STATUS_ERROR,
+    STATUS_OK,
+    FigureArtifact,
+    FigureSuite,
+    load_artifacts,
+    unregistered_artifact_paths,
+)
 
 #: Default locations, relative to the invoking directory (the repo root in
 #: the documented workflow).
@@ -127,6 +134,13 @@ def _command_list() -> int:
     return 0
 
 
+def _load_registered(artifacts_dir: Union[str, Path]) -> List[FigureArtifact]:
+    """The registered figures' artifacts; names each unregistered file it skips."""
+    for path in unregistered_artifact_paths(artifacts_dir):
+        print(f"skipped {path}: {path.stem!r} is not a registered figure")
+    return load_artifacts(artifacts_dir)
+
+
 def _command_run(args: argparse.Namespace) -> int:
     ids = figure_names() if args.all else list(args.only)
     suite = FigureSuite(
@@ -151,9 +165,9 @@ def _command_run(args: argparse.Namespace) -> int:
             f"{artifact.payload.get('headline', '')}"
         )
     if not args.no_report:
-        # Regenerate from everything on disk so partial runs (--only) keep
-        # the other figures' rows.
-        on_disk = load_artifacts(suite.out_dir)
+        # Regenerate from every registered figure's artifact on disk, so
+        # partial runs (--only) keep the other figures' rows.
+        on_disk = _load_registered(suite.out_dir)
         path = write_report(on_disk, args.report)
         print(f"Wrote {path} ({len(on_disk)} figures)")
     errors = [a for a in artifacts if a.status == STATUS_ERROR]
@@ -168,7 +182,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    artifacts = load_artifacts(args.artifacts)
+    artifacts = _load_registered(args.artifacts)
     if not artifacts:
         print(f"no artifacts found under {args.artifacts}; run the suite first")
         return 1

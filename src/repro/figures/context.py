@@ -188,6 +188,17 @@ class BundleProvider:
             self.counters.memo_hits += 1
             return cached
         setup = make_setup(workload_name, config.history_days, config.online_days)
+        bundle = self.fit(setup, config)
+        self._bundles[key] = bundle
+        return bundle
+
+    def fit(self, setup: WorkloadSetup, config: ExperimentConfig) -> SystemBundle:
+        """Fit ``setup`` under ``config`` through the stage cache, and count it.
+
+        Not memoized: :meth:`bundle` memoizes the named workloads, and a
+        figure with its own setup calls this directly so its fit still shows
+        in the counters.
+        """
         bundle = prepare_bundle(
             setup,
             config,
@@ -198,7 +209,6 @@ class BundleProvider:
         self.counters.fits += 1
         self.counters.stage_hits += sum(1 for hit in report.stage_cache_hits.values() if hit)
         self.counters.evaluation_hits += report.evaluation_cache_hits
-        self._bundles[key] = bundle
         return bundle
 
 

@@ -232,12 +232,25 @@ class FigureSuite:
 
 
 def load_artifacts(artifacts_dir: Union[str, Path]) -> List[FigureArtifact]:
-    """All ``*.json`` figure artifacts under a directory, sorted by id."""
+    """The registered figures' ``<id>.json`` artifacts under a directory, sorted by id.
+
+    A file named after no registered figure (one a removed or renamed figure
+    left behind) is not read; :func:`unregistered_artifact_paths` lists them.
+    """
+    registered = set(figure_names())
     directory = Path(artifacts_dir).expanduser()
     artifacts = []
     for path in sorted(directory.glob("*.json")):
-        artifacts.append(FigureArtifact.from_json_dict(json.loads(path.read_text())))
+        if path.stem in registered:
+            artifacts.append(FigureArtifact.from_json_dict(json.loads(path.read_text())))
     return sorted(artifacts, key=lambda artifact: artifact.figure_id)
+
+
+def unregistered_artifact_paths(artifacts_dir: Union[str, Path]) -> List[Path]:
+    """The ``*.json`` files under a directory that :func:`load_artifacts` skips."""
+    registered = set(figure_names())
+    directory = Path(artifacts_dir).expanduser()
+    return [path for path in sorted(directory.glob("*.json")) if path.stem not in registered]
 
 
 #: Per-worker suite installed by :func:`_init_suite_worker`.

@@ -5,12 +5,21 @@ network ``input -> 16 ReLU -> 8 ReLU -> |C| softmax`` that maps the content
 histograms of the recent past to the content histogram of the planned
 interval.  This module provides that network from scratch on NumPy, with a
 training loop, validation-based weight selection, and deterministic seeding.
+
+All weights and biases are views of one float64 buffer, laid out in
+:meth:`MLP.get_parameters` order, and each mini-batch writes its gradients
+into a second buffer with the same layout.  Adam (Kingma & Ba,
+arXiv:1412.6980) is elementwise, so :class:`_AdamState` updates the whole
+buffer with one fixed sequence of in-place ufuncs per step instead of a loop
+over layers.  Every element still sees the same IEEE operations in the same
+order as the per-layer update, so training is bit for bit the per-layer loop
+that ``repro.core.reference.frozen_mlp_fit`` keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +90,12 @@ class MLP:
         self.output_size = output_size
         self.config = config or MLPConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self._weights: List[np.ndarray] = []
-        self._biases: List[np.ndarray] = []
+        sizes = (input_size, *self.config.hidden_sizes, output_size)
+        self._shapes: List[Tuple[int, ...]] = []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            self._shapes += [(fan_in, fan_out), (fan_out,)]
+        self._parameters = np.zeros(sum(int(np.prod(shape)) for shape in self._shapes))
+        self._bind_views()
         self._initialize_parameters()
         self._fitted = False
         self.history = TrainingHistory()
@@ -90,33 +103,55 @@ class MLP:
     # ------------------------------------------------------------------ #
     # Parameter handling
     # ------------------------------------------------------------------ #
+    def _bind_views(self) -> None:
+        self._views = self._layer_views(self._parameters)
+        self._weights = self._views[0::2]
+        self._biases = self._views[1::2]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled view is a copy, so only the buffer is stored.
+        state = dict(self.__dict__)
+        for name in ("_views", "_weights", "_biases"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
+
+    def _layer_views(self, buffer: np.ndarray) -> List[np.ndarray]:
+        """Views of a flat buffer as the arrays of :meth:`get_parameters`, in order."""
+        views = []
+        offset = 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            views.append(buffer[offset : offset + size].reshape(shape))
+            offset += size
+        return views
+
     def _initialize_parameters(self) -> None:
-        sizes = (self.input_size, *self.config.hidden_sizes, self.output_size)
-        self._weights = []
-        self._biases = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self._weights.append(self._rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+        for weight in self._weights:
+            scale = np.sqrt(2.0 / weight.shape[0])
+            weight[...] = self._rng.normal(0.0, scale, size=weight.shape)
 
     def get_parameters(self) -> List[np.ndarray]:
         """Return a flat copy of all weights and biases (for checkpointing)."""
-        params: List[np.ndarray] = []
-        for weight, bias in zip(self._weights, self._biases):
-            params.append(weight.copy())
-            params.append(bias.copy())
-        return params
+        return [view.copy() for view in self._views]
 
     def set_parameters(self, parameters: Sequence[np.ndarray]) -> None:
         """Restore weights and biases produced by :meth:`get_parameters`."""
-        expected = 2 * len(self._weights)
-        if len(parameters) != expected:
+        if len(parameters) != len(self._shapes):
             raise ConfigurationError(
-                f"expected {expected} parameter arrays, got {len(parameters)}"
+                f"expected {len(self._shapes)} parameter arrays, got {len(parameters)}"
             )
-        for layer in range(len(self._weights)):
-            self._weights[layer] = np.array(parameters[2 * layer], dtype=float)
-            self._biases[layer] = np.array(parameters[2 * layer + 1], dtype=float)
+        arrays = [np.asarray(parameter, dtype=float) for parameter in parameters]
+        for index, (array, shape) in enumerate(zip(arrays, self._shapes)):
+            if array.shape != shape:
+                raise ConfigurationError(
+                    f"parameter array {index} has shape {array.shape}, expected {shape}"
+                )
+        for view, array in zip(self._views, arrays):
+            view[...] = array
 
     def restore_parameters(self, parameters: Sequence[np.ndarray]) -> None:
         """Load a trained checkpoint: set parameters and mark the network fitted."""
@@ -163,20 +198,13 @@ class MLP:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def fit(
-        self,
-        inputs: np.ndarray,
-        targets: np.ndarray,
-        epochs: Optional[int] = None,
-    ) -> TrainingHistory:
+    def fit(self, inputs: np.ndarray, targets: np.ndarray) -> TrainingHistory:
         """Train on ``(inputs, targets)`` and keep the best validation weights.
 
         Args:
             inputs: ``(n_samples, input_size)`` features.
             targets: ``(n_samples, output_size)`` regression targets
                 (content-category histograms for the forecaster).
-            epochs: optional override of ``config.epochs`` (used by online
-                fine-tuning, Section 3.3).
         """
         features = np.asarray(inputs, dtype=float)
         labels = np.asarray(targets, dtype=float)
@@ -202,40 +230,47 @@ class MLP:
             else (train_x, train_y)
         )
 
-        total_epochs = epochs if epochs is not None else self.config.epochs
         history = TrainingHistory()
-        best_parameters = self.get_parameters()
-        adam_state = _AdamState(self._weights, self._biases, self.config.learning_rate)
+        best_parameters = self._parameters.copy()
+        gradients = np.zeros_like(self._parameters)
+        adam_state = _AdamState(self._parameters.size, self.config.learning_rate)
 
-        for epoch in range(1, total_epochs + 1):
-            epoch_loss = self._run_epoch(train_x, train_y, adam_state)
+        for epoch in range(1, self.config.epochs + 1):
+            epoch_loss = self._run_epoch(train_x, train_y, adam_state, gradients)
             validation_loss = self._loss(val_x, val_y)
             history.train_loss.append(epoch_loss)
             history.validation_loss.append(validation_loss)
             if validation_loss < history.best_validation_loss:
                 history.best_validation_loss = validation_loss
                 history.best_epoch = epoch
-                best_parameters = self.get_parameters()
+                best_parameters[...] = self._parameters
 
-        self.set_parameters(best_parameters)
+        self._parameters[...] = best_parameters
         self._fitted = True
         self.history = history
         return history
 
-    def _run_epoch(self, train_x, train_y, adam_state) -> float:
+    def _run_epoch(self, train_x, train_y, adam_state, gradients) -> float:
         n_samples = train_x.shape[0]
         order = self._rng.permutation(n_samples)
+        shuffled_x, shuffled_y = train_x[order], train_y[order]
         batch_size = min(self.config.batch_size, n_samples)
+        gradient_views = self._layer_views(gradients)
+        weight_grads, bias_grads = gradient_views[0::2], gradient_views[1::2]
         total_loss = 0.0
         n_batches = 0
         for start in range(0, n_samples, batch_size):
-            batch_idx = order[start : start + batch_size]
-            loss = self._train_batch(train_x[batch_idx], train_y[batch_idx], adam_state)
+            stop = start + batch_size
+            loss = self._train_batch(
+                shuffled_x[start:stop], shuffled_y[start:stop], weight_grads, bias_grads
+            )
+            adam_state.step(self._parameters, gradients)
             total_loss += loss
             n_batches += 1
         return total_loss / max(n_batches, 1)
 
-    def _train_batch(self, batch_x, batch_y, adam_state) -> float:
+    def _train_batch(self, batch_x, batch_y, weight_grads, bias_grads) -> float:
+        """Forward and backward pass: the batch's loss; gradients land in the views."""
         outputs, activations = self._forward(batch_x)
         batch_size = batch_x.shape[0]
         error = outputs - batch_y
@@ -247,17 +282,16 @@ class MLP:
         # implementation compact; the validation-selected weights make the
         # approximation irrelevant in practice.
         grad = 2.0 * error / batch_size
-        weight_grads: List[np.ndarray] = [np.empty(0)] * len(self._weights)
-        bias_grads: List[np.ndarray] = [np.empty(0)] * len(self._biases)
         for layer in reversed(range(len(self._weights))):
-            layer_input = activations[layer]
-            weight_grads[layer] = layer_input.T @ grad + self.config.weight_decay * self._weights[layer]
-            bias_grads[layer] = grad.sum(axis=0)
+            weight = self._weights[layer]
+            # The gradient views are C-contiguous, so numpy hands this product
+            # to BLAS exactly as it did a fresh ``layer_input.T @ grad``.
+            np.matmul(activations[layer].T, grad, out=weight_grads[layer])
+            weight_grads[layer] += self.config.weight_decay * weight
+            np.sum(grad, axis=0, out=bias_grads[layer])
             if layer > 0:
-                grad = grad @ self._weights[layer].T
+                grad = grad @ weight.T
                 grad = grad * (activations[layer] > 0)
-
-        adam_state.step(self._weights, self._biases, weight_grads, bias_grads)
         return loss
 
     def _loss(self, features: np.ndarray, labels: np.ndarray) -> float:
@@ -275,40 +309,42 @@ class MLP:
 
 
 class _AdamState:
-    """Adam optimizer state for the MLP's weights and biases."""
+    """Adam optimizer state over a flat parameter buffer.
 
-    def __init__(self, weights, biases, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    Per element, :meth:`step` computes ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*(g*g)`` and ``w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``
+    with the operations of the per-layer update in their order (only the
+    operands of single multiplies swap), so it is exact, not approximate.
+    """
+
+    def __init__(self, size: int, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m_weights = [np.zeros_like(w) for w in weights]
-        self.v_weights = [np.zeros_like(w) for w in weights]
-        self.m_biases = [np.zeros_like(b) for b in biases]
-        self.v_biases = [np.zeros_like(b) for b in biases]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._update = np.empty(size)
+        self._denominator = np.empty(size)
 
-    def step(self, weights, biases, weight_grads, bias_grads) -> None:
+    def step(self, parameters: np.ndarray, gradients: np.ndarray) -> None:
+        """One Adam update of ``parameters`` in place from ``gradients``."""
         self.step_count += 1
         correction1 = 1.0 - self.beta1**self.step_count
         correction2 = 1.0 - self.beta2**self.step_count
-        for layer in range(len(weights)):
-            self.m_weights[layer] = (
-                self.beta1 * self.m_weights[layer] + (1 - self.beta1) * weight_grads[layer]
-            )
-            self.v_weights[layer] = (
-                self.beta2 * self.v_weights[layer] + (1 - self.beta2) * weight_grads[layer] ** 2
-            )
-            m_hat = self.m_weights[layer] / correction1
-            v_hat = self.v_weights[layer] / correction2
-            weights[layer] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-            self.m_biases[layer] = (
-                self.beta1 * self.m_biases[layer] + (1 - self.beta1) * bias_grads[layer]
-            )
-            self.v_biases[layer] = (
-                self.beta2 * self.v_biases[layer] + (1 - self.beta2) * bias_grads[layer] ** 2
-            )
-            m_hat_b = self.m_biases[layer] / correction1
-            v_hat_b = self.v_biases[layer] / correction2
-            biases[layer] -= self.learning_rate * m_hat_b / (np.sqrt(v_hat_b) + self.eps)
+        m, v, update, denominator = self.m, self.v, self._update, self._denominator
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(gradients, 1 - self.beta1, out=update)
+        np.add(m, update, out=m)
+        np.multiply(v, self.beta2, out=v)
+        np.multiply(gradients, gradients, out=update)
+        np.multiply(update, 1 - self.beta2, out=update)
+        np.add(v, update, out=v)
+        np.divide(m, correction1, out=update)
+        np.multiply(update, self.learning_rate, out=update)
+        np.divide(v, correction2, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        np.add(denominator, self.eps, out=denominator)
+        np.divide(update, denominator, out=update)
+        np.subtract(parameters, update, out=parameters)

@@ -338,6 +338,48 @@ def test_serial_pipeline_matches_pre_refactor_fit(trained_skyscraper, reference_
     assert labels == reference_fit["labels"]
 
 
+def test_ev_content_categories_match_segment_major_scalar_evaluate(ev_workload):
+    """Configuration-major sampling gives the segment-major scalar quality vectors.
+
+    EV's ``evaluate_config_batch`` vectorizes over segments, so each
+    configuration's 120 samples (repeats included) arrive as one batch; the
+    oracle evaluates segment by segment with the scalar ``evaluate``.
+    """
+    source = ev_workload.make_source()
+    params = OfflineFitParams(
+        unlabeled_days=0.02,
+        labeled_minutes=5.0,
+        n_search_segments=3,
+        n_presample_segments=30,
+        n_category_samples=120,
+        forecast_label_period_seconds=60.0,
+        max_configurations=5,
+        train_forecaster=False,
+    )
+    pipeline = OfflinePipeline(ev_workload, source, cores=8, seed=2, params=params)
+    pipeline.run()
+    quality_vectors = pipeline.context["quality_vectors"]
+
+    rng = np.random.default_rng((2, 3))
+    indices = rng.integers(0, pipeline.total_history_segments, size=120)
+    assert len(set(indices.tolist())) < len(indices)
+    profiles = pipeline.context["profiles"]
+    expected = np.array(
+        [
+            [
+                ev_workload.evaluate(profile.configuration, source.segment_at(int(index)))
+                .reported_quality
+                for profile in profiles
+            ]
+            for index in indices
+        ]
+    )
+    assert len(profiles) > 1
+    assert quality_vectors.shape == expected.shape
+    assert quality_vectors.flags.c_contiguous
+    assert quality_vectors.tobytes() == expected.tobytes()
+
+
 def test_report_keeps_table3_step_names(trained_skyscraper):
     report = trained_skyscraper.report
     assert set(report.step_runtimes_seconds) == {

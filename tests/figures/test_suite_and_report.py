@@ -119,6 +119,19 @@ def test_smoke_mode_artifact_is_deterministic():
     )
 
 
+def test_regime_shift_counts_its_fit_in_the_cache_column(tmp_path):
+    """The figure's own regime setup fits through the provider's counters."""
+    cold = FigureSuite(out_dir=tmp_path, smoke=True).run_one("regime_shift")
+    assert cold.status == STATUS_OK, cold.error
+    assert cold.meta["cache"]["fits"] == 1
+    assert cold.meta["cache"]["stage_hits"] == 0
+    warm = FigureSuite(out_dir=tmp_path, smoke=True).run_one("regime_shift")
+    assert warm.status == STATUS_OK, warm.error
+    assert warm.meta["cache"]["fits"] == 1
+    assert warm.meta["cache"]["stage_hits"] == 5
+    assert warm.payload == cold.payload
+
+
 def test_regime_shift_smoke_skyscraper_beats_static():
     """Fit on pre-shift history only, Skyscraper still beats static by the margin."""
     artifact = FigureSuite(smoke=True).run_one("regime_shift")
@@ -234,3 +247,38 @@ def test_report_regeneration_is_diff_free(tmp_path, scratch_specs):
     # ... and --check catches manual edits.
     report_path.write_text(text + "drift\n")
     assert not check_report(artifacts, report_path)
+
+
+def test_report_leaves_out_unregistered_artifacts(tmp_path, scratch_specs, capsys):
+    """A leftover artifact of an unregistered figure is neither rendered nor counted."""
+    scratch_specs(
+        "zz_registered",
+        lambda ctx: {
+            "headline": "metric 1.0",
+            "checks": [{"name": "c", "passed": True, "detail": ""}],
+            "value": 1.0,
+        },
+    )
+    artifacts_dir = tmp_path / "artifacts"
+    FigureSuite(out_dir=artifacts_dir).run_one("zz_registered")
+    leftover = json.loads((artifacts_dir / "zz_registered.json").read_text())
+    leftover["figure"] = "zz_removed"
+    leftover["payload"]["headline"] = "stale metric"
+    (artifacts_dir / "zz_removed.json").write_text(json.dumps(leftover))
+
+    assert [a.figure_id for a in load_artifacts(artifacts_dir)] == ["zz_registered"]
+    report_path = tmp_path / "REPRODUCTION.md"
+    report_args = ["report", "--artifacts", str(artifacts_dir), "--output", str(report_path)]
+    assert cli.main(report_args) == 0
+    text = report_path.read_text()
+    assert "`zz_registered`" in text
+    assert "zz_removed" not in text and "stale metric" not in text
+    assert "**1/1 figures reproduced**" in text
+    assert "zz_removed.json" in capsys.readouterr().out
+    assert cli.main([*report_args, "--check"]) == 0
+
+    run_args = ["run", "--only", "zz_registered", "--out", str(artifacts_dir)]
+    assert cli.main([*run_args, "--report", str(report_path)]) == 0
+    assert "zz_removed.json" in capsys.readouterr().out
+    rerun = report_path.read_text()
+    assert "zz_removed" not in rerun and "**1/1 figures reproduced**" in rerun

@@ -1,5 +1,7 @@
 """Tests for the feed-forward network used by the forecaster."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,26 @@ def test_set_parameters_validates_length():
         model.set_parameters([np.zeros((4, 2))])
 
 
+def test_set_parameters_validates_shapes():
+    model = MLP(4, 2, MLPConfig(hidden_sizes=(3,)))
+    params = model.get_parameters()
+    assert [p.shape for p in params] == [(4, 3), (3,), (3, 2), (2,)]
+    params[1] = np.zeros(1)
+    with pytest.raises(ConfigurationError, match="shape"):
+        model.set_parameters(params)
+
+
+def test_set_parameters_copies_into_the_network():
+    model = MLP(4, 2, MLPConfig(seed=5))
+    params = [np.full(p.shape, float(index)) for index, p in enumerate(model.get_parameters())]
+    model.set_parameters(params)
+    params[0][...] = -1.0
+    restored = model.get_parameters()
+    assert [float(p.flat[0]) for p in restored] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    restored[2][...] = -1.0
+    assert float(model.get_parameters()[2].flat[0]) == 2.0
+
+
 def test_best_validation_weights_are_restored():
     inputs, targets = _histogram_task(seed=4)
     model = MLP(6, 3, MLPConfig(epochs=25, seed=4))
@@ -108,3 +130,15 @@ def test_linear_output_activation():
     model.fit(inputs, targets)
     prediction = model.predict(inputs)
     assert np.mean((prediction - targets) ** 2) < 0.1
+
+
+def test_pickled_network_trains_like_the_original():
+    """Unpickling rebinds the layer views to the one parameter buffer."""
+    inputs, targets = _histogram_task(seed=6)
+    model = MLP(6, 3, MLPConfig(epochs=4, seed=6))
+    twin = pickle.loads(pickle.dumps(model))
+    model.fit(inputs, targets)
+    twin.fit(inputs, targets)
+    for ours, theirs in zip(twin.get_parameters(), model.get_parameters(), strict=True):
+        assert ours.tobytes() == theirs.tobytes()
+    assert twin.predict(inputs).tobytes() == model.predict(inputs).tobytes()
