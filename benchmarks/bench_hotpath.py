@@ -21,7 +21,11 @@ pre-vectorization implementations in ``repro.core.reference``:
   driving scalar segment generation and the frozen switcher;
 * ``forecaster_fit`` — the forecaster's training on a dataset shaped like
   the offline benchmark's (937 windows of 8 x 4 histograms): the live
-  flat-buffer ``MLP.fit`` vs the per-layer ``frozen_mlp_fit``.
+  flat-buffer ``MLP.fit`` vs the per-layer ``frozen_mlp_fit``;
+* ``label_history`` — the offline benchmark's history labeling (EV, 16 days
+  of 240 s labels, 5,760 rows): the live columnar ``label_quality_series``
+  through a fresh ``EvaluationCache`` vs ``frozen_label_quality_series``,
+  which scores one ``VideoSegment`` per label.
 
 Each side of a kernel runs :data:`REPEATS` times; repeats alternate which
 side runs first and build cold inputs afresh, and a row reports each side's
@@ -55,9 +59,11 @@ from benchmarks.common import append_trajectory, emit_bench, print_header
 from repro.core import reference
 from repro.core.fleet import FleetEngine, FleetStream
 from repro.core.forecaster import ForecastDataset
+from repro.core.offline import EvaluationCache, label_quality_series
 from repro.core.reference import (
     frozen_burst_intensity_at,
     frozen_bursts_for_day,
+    frozen_label_quality_series,
     frozen_mlp_fit,
     frozen_twin,
     reference_fleet_run,
@@ -71,6 +77,7 @@ from repro.figures.context import BundleProvider
 from repro.ml.mlp import MLP
 from repro.registry import create_policy
 from repro.video.content import SECONDS_PER_DAY
+from repro.workloads.ev import make_ev_setup
 from repro.workloads.fleet import make_fleet_scenario
 
 #: Cross-PR hot-path trajectory: one point appended per measured milestone.
@@ -98,6 +105,11 @@ FORECASTER_CATEGORIES = 4
 FORECASTER_SPLITS = 8
 FORECASTER_INPUT_DAYS = 1.0
 FORECASTER_OUTPUT_DAYS = 2.0
+
+#: The label-history kernel labels the offline benchmark's history: 16 days
+#: of an EV stream at one label per 240 s, with the cheapest configuration.
+LABEL_DAYS = 16.0
+LABEL_PERIOD_SECONDS = 240.0
 
 #: Timed runs of each side of every kernel.
 REPEATS = 3
@@ -473,6 +485,33 @@ def bench_forecaster_fit() -> Dict[str, Any]:
     }
 
 
+def bench_label_history(days: float) -> Dict[str, Any]:
+    """The columnar history labeler vs the per-object one.
+
+    Both sides label ``days`` of a fresh EV stream every
+    :data:`LABEL_PERIOD_SECONDS` with the cheap configuration, over burst
+    schedules generated once beforehand; the live side scores through a
+    fresh ``EvaluationCache`` each repeat, as a fit does.  Parity compares
+    the bytes of the two quality series.
+    """
+    setup = make_ev_setup(history_days=days, online_days=0.01)
+    workload, source = setup.workload, setup.source
+    configuration = workload.named_configurations()["cheap"]
+    window = (0.0, days * SECONDS_PER_DAY, LABEL_PERIOD_SECONDS)
+    source.content_model.states(*window)
+
+    def columnar():
+        return label_quality_series(
+            workload, source, configuration, *window, evaluator=EvaluationCache(workload)
+        )
+
+    def scalar():
+        return frozen_label_quality_series(workload, source, configuration, *window)
+
+    timing, series = _time_sides(lambda: (columnar, scalar), _same_bytes)
+    return {"kernel": "label_history", "n": int(series.size), **timing}
+
+
 # --------------------------------------------------------------------- #
 # Harness
 # --------------------------------------------------------------------- #
@@ -494,6 +533,7 @@ def run_hotpath_bench(smoke: bool = False) -> Dict[str, Any]:
         bench_switcher_select(context, 2_000 if smoke else 20_000),
         bench_fleet_scaling(runner, bundle, 8 if smoke else FLEET_STREAMS),
         bench_forecaster_fit(),
+        bench_label_history(2.0 if smoke else LABEL_DAYS),
     ]
 
     print_header(

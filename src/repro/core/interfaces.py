@@ -82,6 +82,19 @@ class VETLWorkload(Protocol):
         """
         ...
 
+    def evaluate_columns(
+        self, configuration: KnobConfiguration, columns: SegmentColumns
+    ) -> List[SegmentOutcome]:
+        """:meth:`evaluate` of ``configuration`` on every row of ``columns``, in order.
+
+        Row ``i`` must equal ``evaluate(configuration, columns.segment(i))``.
+        History labeling scores its whole grid through this hook, so a
+        workload may score the columns without building a segment per row;
+        the default in :class:`~repro.workloads.base.BaseWorkload`
+        materializes the rows.
+        """
+        ...
+
     def representative_segment(self) -> VideoSegment:
         """A typical segment used for profiling runtimes and placements."""
         ...

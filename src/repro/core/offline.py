@@ -60,7 +60,7 @@ from repro.core.knobs import KnobConfiguration
 from repro.core.profiles import ProfileSet, build_profiles
 from repro.errors import ConfigurationError
 from repro.video.frame import VideoSegment
-from repro.video.stream import SyntheticVideoSource
+from repro.video.stream import SegmentColumns, SyntheticVideoSource
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -194,15 +194,44 @@ def _evaluate_chunk(
     return evaluate_pairs(workload, pairs)
 
 
+def _evaluate_column_chunk(
+    payload: Tuple[VETLWorkload, KnobConfiguration, SegmentColumns],
+) -> List[SegmentOutcome]:
+    """Process-pool work unit: evaluate one configuration on one chunk of rows."""
+    workload, configuration, columns = payload
+    return workload.evaluate_columns(configuration, columns)
+
+
+class _Batch:
+    """One lookup batch of an :class:`EvaluationCache`, row by row.
+
+    ``results`` holds each row's outcome once known; ``claims`` maps each
+    configuration to ``{segment index: first row}`` of the indices this
+    batch evaluates; ``misses`` lists those first rows as ``(row, the
+    configuration's outcome dict, segment index)``; ``duplicates`` pairs
+    every later row of such an index with its first row.
+    """
+
+    def __init__(self, size: int):
+        """An empty batch of ``size`` rows."""
+        self.results: List[Optional[SegmentOutcome]] = [None] * size
+        self.claims: Dict[KnobConfiguration, Dict[int, int]] = {}
+        self.misses: List[Tuple[int, Dict[int, SegmentOutcome], int]] = []
+        self.duplicates: List[Tuple[int, int]] = []
+
+
 class EvaluationCache:
-    """Memoized ``workload.evaluate`` keyed by ``(configuration, segment_index)``.
+    """Memoized ``workload.evaluate``: one dict per configuration, keyed by segment index.
 
     The cache is the pipeline's single funnel for quality evaluations: every
     stage asks it instead of the workload directly, so identical pairs
     requested by different stages (or by a later ``fit`` sharing the cache)
-    are evaluated exactly once.  Batched misses are delegated to
-    ``workload.evaluate_many`` and, with a multi-worker executor, fanned out
-    over contiguous chunks of a process pool.
+    are evaluated exactly once.  A batch looks each of its configurations up
+    once and each row by its int segment index.  Batched misses are
+    delegated to ``workload.evaluate_many`` (pairs) or
+    ``workload.evaluate_columns`` (a column batch of one configuration) and,
+    with a multi-worker executor, fanned out over contiguous chunks of a
+    process pool.
 
     Workloads are deterministic given (configuration, segment) by contract
     (:class:`~repro.core.interfaces.VETLWorkload`), which is what makes both
@@ -217,14 +246,14 @@ class EvaluationCache:
         """An empty cache for ``workload``; ``executor`` fans out batch misses."""
         self.workload = workload
         self.executor = resolve_executor(executor)
-        self._outcomes: Dict[Tuple[KnobConfiguration, int], SegmentOutcome] = {}
+        self._outcomes: Dict[KnobConfiguration, Dict[int, SegmentOutcome]] = {}
         self._source_key: Optional[str] = None
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         """Number of memoized (configuration, segment) outcomes."""
-        return len(self._outcomes)
+        return sum(len(rows) for rows in self._outcomes.values())
 
     def bind(self, workload: VETLWorkload, source_key: str) -> None:
         """Pin the cache to one (workload, video stream) identity.
@@ -267,46 +296,120 @@ class EvaluationCache:
     def evaluate_many(
         self, pairs: Sequence[Tuple[KnobConfiguration, VideoSegment]]
     ) -> List[SegmentOutcome]:
-        """Outcomes for every pair, in order; each unique miss evaluated once."""
+        """Outcomes for every pair, in order; each unique miss evaluated once.
+
+        A cached pair and a repeat of a pair earlier in the batch count as
+        hits and get the same outcome object.
+        """
         pairs = list(pairs)
-        results: List[Optional[SegmentOutcome]] = [None] * len(pairs)
-        pending_slots: Dict[Tuple[KnobConfiguration, int], List[int]] = {}
-        pending_pairs: List[Tuple[KnobConfiguration, VideoSegment]] = []
-        pending_keys: List[Tuple[KnobConfiguration, int]] = []
-        for position, (configuration, segment) in enumerate(pairs):
-            key = (configuration, segment.segment_index)
-            cached = self._outcomes.get(key)
-            if cached is not None:
-                self.hits += 1
-                results[position] = cached
-            elif key in pending_slots:
-                # Duplicate within the batch: evaluated once, served to all.
-                self.hits += 1
-                pending_slots[key].append(position)
+        batch = _Batch(len(pairs))
+        start = 0
+        while start < len(pairs):
+            configuration = pairs[start][0]
+            stop = start + 1
+            while stop < len(pairs) and pairs[stop][0] is configuration:
+                stop += 1
+            indices = [segment.segment_index for _, segment in pairs[start:stop]]
+            self._claim(batch, configuration, indices, start)
+            start = stop
+        outcomes: List[SegmentOutcome] = []
+        if batch.misses:
+            outcomes = self._evaluate_pending([pairs[row] for row, _, _ in batch.misses])
+        return self._settle(batch, outcomes)
+
+    def evaluate_columns(
+        self, configuration: KnobConfiguration, columns: SegmentColumns
+    ) -> List[SegmentOutcome]:
+        """Outcomes of ``configuration`` on every row of ``columns``, in order.
+
+        The accounting is :meth:`evaluate_many`'s over the pairs
+        ``(configuration, columns.segment(i))``, and both entry points share
+        one store.  The misses go to ``workload.evaluate_columns`` as one
+        column subset, so no row is materialized here.
+        """
+        batch = _Batch(len(columns))
+        self._claim(batch, configuration, columns.segment_index.tolist(), 0)
+        outcomes: List[SegmentOutcome] = []
+        if batch.misses:
+            rows = np.array([row for row, _, _ in batch.misses], dtype=np.int64)
+            outcomes = self._evaluate_pending_columns(configuration, columns.take(rows))
+        return self._settle(batch, outcomes)
+
+    def _claim(
+        self,
+        batch: _Batch,
+        configuration: KnobConfiguration,
+        indices: List[int],
+        offset: int,
+    ) -> None:
+        """Sort the batch rows ``offset, offset + 1, ...``, all of one configuration.
+
+        A cached row gets its outcome.  The first row of an uncached segment
+        index is a miss; a later row of that index is a duplicate of it,
+        also across runs of the configuration within the batch.
+        """
+        rows = self._outcomes.get(configuration)
+        if rows is None:
+            rows = self._outcomes[configuration] = {}
+        claimed = batch.claims.setdefault(configuration, {})
+        results, misses, duplicates = batch.results, batch.misses, batch.duplicates
+        for row, index in enumerate(indices, offset):
+            outcome = rows.get(index)
+            if outcome is not None:
+                results[row] = outcome
+            elif index in claimed:
+                duplicates.append((row, claimed[index]))
             else:
-                pending_slots[key] = [position]
-                pending_pairs.append((configuration, segment))
-                pending_keys.append(key)
-        if pending_pairs:
-            self.misses += len(pending_pairs)
-            outcomes = self._evaluate_pending(pending_pairs)
-            for key, outcome in zip(pending_keys, outcomes):
-                self._outcomes[key] = outcome
-                for position in pending_slots[key]:
-                    results[position] = outcome
+                claimed[index] = row
+                misses.append((row, rows, index))
+
+    def _settle(self, batch: _Batch, outcomes: List[SegmentOutcome]) -> List[SegmentOutcome]:
+        """Store the evaluated misses, fill every row, and count hits and misses."""
+        results = batch.results
+        for (row, rows, index), outcome in zip(batch.misses, outcomes):
+            rows[index] = outcome
+            results[row] = outcome
+        for row, first in batch.duplicates:
+            results[row] = results[first]
+        self.misses += len(batch.misses)
+        self.hits += len(results) - len(batch.misses)
         return results  # type: ignore[return-value]
+
+    def _chunks(self, count: int) -> List[Tuple[int, int]]:
+        """Contiguous ``[lo, hi)`` chunks of ``count`` misses, one per work unit.
+
+        One chunk unless a multi-worker executor gets at least two misses per
+        worker; then up to four chunks per worker.
+        """
+        workers = self.executor.workers
+        if workers <= 1 or count < 2 * workers:
+            return [(0, count)]
+        bounds = np.linspace(0, count, min(count, workers * 4) + 1).astype(int).tolist()
+        return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     def _evaluate_pending(
         self, pairs: List[Tuple[KnobConfiguration, VideoSegment]]
     ) -> List[SegmentOutcome]:
-        workers = self.executor.workers
-        if workers <= 1 or len(pairs) < 2 * workers:
+        chunks = self._chunks(len(pairs))
+        if len(chunks) == 1:
             return evaluate_pairs(self.workload, pairs)
-        n_chunks = min(len(pairs), workers * 4)
-        bounds = np.linspace(0, len(pairs), n_chunks + 1).astype(int)
-        chunks = [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         outcome_chunks = self.executor.map(
-            _evaluate_chunk, [(self.workload, chunk) for chunk in chunks]
+            _evaluate_chunk, [(self.workload, pairs[lo:hi]) for lo, hi in chunks]
+        )
+        return [outcome for chunk in outcome_chunks for outcome in chunk]
+
+    def _evaluate_pending_columns(
+        self, configuration: KnobConfiguration, columns: SegmentColumns
+    ) -> List[SegmentOutcome]:
+        chunks = self._chunks(len(columns))
+        if len(chunks) == 1:
+            return self.workload.evaluate_columns(configuration, columns)
+        outcome_chunks = self.executor.map(
+            _evaluate_column_chunk,
+            [
+                (self.workload, configuration, columns.take(np.arange(lo, hi)))
+                for lo, hi in chunks
+            ],
         )
         return [outcome for chunk in outcome_chunks for outcome in chunk]
 
@@ -785,7 +888,9 @@ class OfflinePipeline:
     def _run_sample_segments(self, context: Dict[str, Any]) -> None:
         params = self.params
         rng = self._stage_rng("sample_segments")
-        labeled_segments = self.source.record(0.0, params.labeled_minutes * 60.0)
+        # Only the first five labeled segments score the extreme configurations.
+        labeled_indices = self.source.window_indices(0.0, params.labeled_minutes * 60.0)
+        labeled_segments = _gather_segments(self.source, labeled_indices[:5])
         total = self.total_history_segments
         # Sample without replacement so the candidate pool really has
         # n_presample_segments distinct segments (sampling with replacement
@@ -794,7 +899,7 @@ class OfflinePipeline:
         candidate_indices = np.sort(rng.choice(total, size=size, replace=False))
         candidates = _gather_segments(self.source, candidate_indices)
         cheapest, best = find_extreme_configurations(
-            self.workload, labeled_segments[:5], evaluator=self.evaluations
+            self.workload, labeled_segments, evaluator=self.evaluations
         )
         search_segments = sample_diverse_segments(
             self.workload,
@@ -1086,6 +1191,23 @@ def _gather_segments(source: SyntheticVideoSource, indices) -> List[VideoSegment
     return [columns.segment(position) for position in range(len(columns))]
 
 
+def _label_grid(
+    source: SyntheticVideoSource,
+    start_time: float,
+    end_time: float,
+    period_seconds: float,
+) -> np.ndarray:
+    """Segment index of every label of :func:`label_segments`, in label order."""
+    if period_seconds <= 0:
+        raise ConfigurationError("period_seconds must be positive")
+    # One slot past the rounded count, so a grid point that the division
+    # rounds away is still considered; the mask keeps the half-open window.
+    count = max(int(np.ceil((end_time - start_time) / period_seconds)) + 1, 0)
+    stamps = start_time + np.arange(count) * period_seconds
+    stamps = stamps[stamps < end_time]
+    return (stamps / source.segment_seconds).astype(np.int64)
+
+
 def label_segments(
     source: SyntheticVideoSource,
     start_time: float,
@@ -1100,14 +1222,7 @@ def label_segments(
     ``end_time`` is not read.  An empty window (``end_time <= start_time``)
     reads nothing.
     """
-    if period_seconds <= 0:
-        raise ConfigurationError("period_seconds must be positive")
-    # One slot past the rounded count, so a grid point that the division
-    # rounds away is still considered; the mask keeps the half-open window.
-    count = max(int(np.ceil((end_time - start_time) / period_seconds)) + 1, 0)
-    stamps = start_time + np.arange(count) * period_seconds
-    stamps = stamps[stamps < end_time]
-    return _gather_segments(source, (stamps / source.segment_seconds).astype(np.int64))
+    return _gather_segments(source, _label_grid(source, start_time, end_time, period_seconds))
 
 
 def label_quality_series(
@@ -1123,14 +1238,18 @@ def label_quality_series(
 
     This is the expensive half of Appendix H's history labeling (83% of the
     paper's 1.6 h offline phase): one evaluation per label over the whole
-    window.  The segments come from one columnar content pass and the
-    evaluations run as one batch through ``evaluate_many`` / the shared
-    cache.  An empty window (``end_time <= start_time``) yields an empty
-    series.
+    window.  The labels' segments are gathered as one column batch and
+    scored as columns, through ``evaluator.evaluate_columns`` when there is
+    a shared cache and ``workload.evaluate_columns`` otherwise, so no
+    segment object is built per label unless the workload's own hook builds
+    one.  Each value equals the scalar ``evaluate`` of that label's segment.
+    An empty window (``end_time <= start_time``) yields an empty series.
     """
-    pairs = [
-        (configuration, segment)
-        for segment in label_segments(source, start_time, end_time, period_seconds)
-    ]
-    outcomes = evaluate_pairs(workload, pairs, evaluator)
+    columns = source.segment_index_columns(
+        _label_grid(source, start_time, end_time, period_seconds)
+    )
+    if evaluator is not None:
+        outcomes = evaluator.evaluate_columns(configuration, columns)
+    else:
+        outcomes = workload.evaluate_columns(configuration, columns)
     return np.array([outcome.reported_quality for outcome in outcomes], dtype=float)

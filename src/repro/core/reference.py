@@ -48,6 +48,11 @@ and bias arrays, fresh gradient lists per mini-batch and an Adam step that
 loops over the layers.  The live ``MLP.fit`` trains a flat parameter buffer
 with one fused Adam step and must match it bit for bit.
 
+So is the history labeler (:func:`frozen_label_quality_series`): one
+``VideoSegment`` per label, each scored with the scalar ``evaluate``.  The
+live ``label_quality_series`` scores the label grid as columns and must
+match it bit for bit.
+
 Nothing here is called by the runtime; edits to this file invalidate the
 parity guarantee and should only ever accompany an intentional semantic
 change of the engine.
@@ -67,6 +72,8 @@ from repro.cluster.profiler import PlacementProfile
 from repro.cluster.resources import CloudSpec, ClusterSpec
 from repro.core.categorizer import ContentCategorizer
 from repro.core.engine import DecisionContext, IngestionResult, SegmentTrace
+from repro.core.interfaces import VETLWorkload
+from repro.core.knobs import KnobConfiguration
 from repro.core.planner import KnobPlan
 from repro.core.profiles import ProfileSet
 from repro.core.switcher import SwitchDecision
@@ -1033,3 +1040,36 @@ def frozen_mlp_fit(network: MLP, inputs: np.ndarray, targets: np.ndarray) -> Tra
     network.restore_parameters(trainer.get_parameters())
     network.history = history
     return history
+
+
+# --------------------------------------------------------------------- #
+# The per-object history labeler
+# --------------------------------------------------------------------- #
+def frozen_label_quality_series(
+    workload: VETLWorkload,
+    source: SyntheticVideoSource,
+    configuration: KnobConfiguration,
+    start_time: float,
+    end_time: float,
+    period_seconds: float,
+) -> np.ndarray:
+    """The history labeler that built one ``VideoSegment`` per label.
+
+    The grid is ``label_segments``' (label ``k`` at
+    ``start_time + k * period_seconds``, half-open window); each label's
+    segment is gathered from one column batch and scored with the scalar
+    ``workload.evaluate``.
+    """
+    if period_seconds <= 0:
+        raise ConfigurationError("period_seconds must be positive")
+    count = max(int(np.ceil((end_time - start_time) / period_seconds)) + 1, 0)
+    stamps = start_time + np.arange(count) * period_seconds
+    stamps = stamps[stamps < end_time]
+    columns = source.segment_index_columns((stamps / source.segment_seconds).astype(np.int64))
+    return np.array(
+        [
+            workload.evaluate(configuration, columns.segment(position)).reported_quality
+            for position in range(len(columns))
+        ],
+        dtype=float,
+    )

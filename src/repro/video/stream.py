@@ -11,7 +11,7 @@ ingested together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,20 @@ class SegmentColumns:
             content=self.content.state(position),
             encoded_bytes=int(self.encoded_bytes[position]),
             ground_truth_objects=int(self.ground_truth_objects[position]),
+        )
+
+    def take(self, rows: np.ndarray) -> "SegmentColumns":
+        """The rows at positions ``rows`` of this batch, in that order, as a new batch."""
+        content = self.content
+        return replace(
+            self,
+            segment_index=self.segment_index[rows],
+            start_time=self.start_time[rows],
+            encoded_bytes=self.encoded_bytes[rows],
+            ground_truth_objects=self.ground_truth_objects[rows],
+            content=ContentStateColumns(
+                **{field.name: getattr(content, field.name)[rows] for field in fields(content)}
+            ),
         )
 
 
@@ -179,8 +193,8 @@ class SyntheticVideoSource:
             content=content,
         )
 
-    def segment_columns(self, start_time: float, end_time: float) -> SegmentColumns:
-        """Columns for every segment whose start lies in ``[start_time, end_time)``."""
+    def window_indices(self, start_time: float, end_time: float) -> np.ndarray:
+        """Ascending index of every segment whose start lies in ``[start_time, end_time)``."""
         if end_time < start_time:
             raise ConfigurationError("end_time must not precede start_time")
         first = int(math.floor(start_time / self.config.segment_seconds))
@@ -188,7 +202,11 @@ class SyntheticVideoSource:
         indices = np.arange(first, last, dtype=np.int64)
         starts = indices * self.config.segment_seconds
         keep = (start_time <= starts) & (starts < end_time)
-        return self.segment_index_columns(indices[keep])
+        return indices[keep]
+
+    def segment_columns(self, start_time: float, end_time: float) -> SegmentColumns:
+        """Columns for every segment whose start lies in ``[start_time, end_time)``."""
+        return self.segment_index_columns(self.window_indices(start_time, end_time))
 
     def segments(self, start_time: float, end_time: float) -> Iterator[VideoSegment]:
         """Yield every segment whose start lies in ``[start_time, end_time)``."""

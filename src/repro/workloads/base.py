@@ -151,6 +151,19 @@ class BaseWorkload:
         """
         return [self.evaluate(configuration, segment) for segment in segments]
 
+    def evaluate_columns(
+        self, configuration: KnobConfiguration, columns: SegmentColumns
+    ) -> List[SegmentOutcome]:
+        """Evaluate every row of a segment batch under one configuration.
+
+        The default materializes each row and scores the run with
+        :meth:`evaluate_config_batch`; workloads whose quality model reads
+        the columns directly override this.
+        """
+        return self.evaluate_config_batch(
+            configuration, [columns.segment(position) for position in range(len(columns))]
+        )
+
     def quality_weight(self, segment: VideoSegment) -> float:
         """How much this segment contributes to the workload's quality metric.
 
@@ -164,16 +177,10 @@ class BaseWorkload:
     def quality_weight_columns(self, columns: SegmentColumns) -> np.ndarray:
         """Batched :meth:`quality_weight` over a whole segment batch.
 
-        Row ``i`` equals ``quality_weight(columns.segment(i))`` bit for bit.
-        Subclasses that override the scalar method but not this one fall
-        back to per-row scalar calls automatically, so custom weights stay
-        correct without a matching columnar override.
+        Row ``i`` equals ``quality_weight(columns.segment(i))`` bit for bit
+        for the default weight.  A workload that overrides
+        :meth:`quality_weight` overrides this method to match.
         """
-        if type(self).quality_weight is not BaseWorkload.quality_weight:
-            return np.array(
-                [self.quality_weight(columns.segment(i)) for i in range(len(columns))],
-                dtype=float,
-            )
         return np.maximum(columns.ground_truth_objects, 1).astype(float)
 
     def runtime_scale(
@@ -222,6 +229,35 @@ class BaseWorkload:
         key = f"{self.name}|{configuration.short_label()}|{segment.segment_index}|{channel}"
         digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
         unit = int.from_bytes(digest, "little") / float(2**64)
+        return (unit * 2.0 - 1.0) * scale
+
+    def _noise_columns(
+        self,
+        configuration: KnobConfiguration,
+        segment_indices: Sequence[int],
+        channel: str,
+        scale: float,
+    ) -> np.ndarray:
+        """:meth:`_noise` of every segment index of a batch, bit for bit.
+
+        Each row hashes the same key as :meth:`_noise`: the key prefix
+        shared by the batch is hashed once, and each row continues a copy of
+        that state with the rest of its key.  The digests are read as
+        little-endian uint64 in one pass.  numpy's uint64 -> float64 cast
+        rounds to nearest even like Python's int -> float conversion,
+        ``/ 2**64`` is exact, and the rest is the scalar expression applied
+        elementwise.
+        """
+        prefix = hashlib.blake2b(
+            f"{self.name}|{configuration.short_label()}|".encode(), digest_size=8
+        )
+        suffix = f"|{channel}"
+        digests = []
+        for index in segment_indices:
+            state = prefix.copy()
+            state.update(f"{index}{suffix}".encode())
+            digests.append(state.digest())
+        unit = np.frombuffer(b"".join(digests), dtype="<u8").astype(np.float64) / float(2**64)
         return (unit * 2.0 - 1.0) * scale
 
     @staticmethod

@@ -18,7 +18,7 @@ from repro.core.knobs import KnobConfiguration, KnobSpace
 from repro.video.codec import DecodeCostModel
 from repro.video.content import ContentModel, DiurnalProfile
 from repro.video.frame import VideoSegment
-from repro.video.stream import StreamConfig
+from repro.video.stream import SegmentColumns, StreamConfig
 from repro.vision.dag import Task, TaskGraph
 from repro.vision.detector import SimulatedObjectDetector
 from repro.vision.model_zoo import get_model_variant
@@ -30,6 +30,11 @@ from repro.workloads.base import BaseWorkload, WorkloadSetup
 _NATIVE_FPS = 30.0
 #: Fraction of detected cars that are EVs in the synthetic stream.
 _EV_FRACTION = 0.12
+
+
+def _clip01(values: np.ndarray) -> np.ndarray:
+    """``BaseWorkload._clip01`` elementwise."""
+    return np.minimum(np.maximum(values, 0.0), 1.0)
 
 
 def _ev_knob_space() -> KnobSpace:
@@ -174,33 +179,64 @@ class EVCountingWorkload(BaseWorkload):
     def evaluate_config_batch(
         self, configuration: KnobConfiguration, segments: Sequence[VideoSegment]
     ) -> List[SegmentOutcome]:
-        """Vectorized quality model over a run of segments (one configuration).
+        """Vectorized quality model over a run of segments (one configuration)."""
+        return self._score(
+            configuration,
+            [segment.segment_index for segment in segments],
+            np.array([segment.content.occlusion for segment in segments], dtype=float),
+            np.array([segment.content.lighting for segment in segments], dtype=float),
+            np.array([segment.content.object_density for segment in segments], dtype=float),
+            np.array([segment.ground_truth_objects for segment in segments], dtype=np.int64),
+        )
 
-        The captured-quality expression uses only elementwise ``+``/``-``/
-        ``*`` and clips, so the array path is bit-for-bit identical to
-        :meth:`evaluate`; only the deterministic per-segment noise stays a
-        scalar loop (it is a hash).
+    def evaluate_columns(
+        self, configuration: KnobConfiguration, columns: SegmentColumns
+    ) -> List[SegmentOutcome]:
+        """The quality model straight from the columns: no segment per row."""
+        content = columns.content
+        return self._score(
+            configuration,
+            columns.segment_index.tolist(),
+            content.occlusion,
+            content.lighting,
+            content.object_density,
+            columns.ground_truth_objects,
+        )
+
+    def _score(
+        self,
+        configuration: KnobConfiguration,
+        segment_indices: List[int],
+        occlusion: np.ndarray,
+        lighting: np.ndarray,
+        density: np.ndarray,
+        ground_truth_objects: np.ndarray,
+    ) -> List[SegmentOutcome]:
+        """:meth:`evaluate` of one configuration over a batch, bit for bit.
+
+        Every step is the scalar expression applied elementwise: IEEE
+        ``+``/``-``/``*`` give the scalar results, ``np.minimum``/
+        ``np.maximum`` equal ``min``/``max`` on values that are not NaN,
+        ``np.round`` rounds half to even like ``round``, and the noise is
+        :meth:`_noise_columns`.
         """
         robustness = self._config_term("robustness", configuration, self._robustness)
         easy_factor = self._config_term("easy_factor", configuration, self._easy_factor)
-        occlusion = np.array([segment.content.occlusion for segment in segments])
-        lighting = np.array([segment.content.lighting for segment in segments])
-        density = np.array([segment.content.object_density for segment in segments])
-        difficulty = np.minimum(
-            np.maximum(0.85 * occlusion + 0.2 * (1.0 - lighting) * density, 0.0), 1.0
+        difficulty = _clip01(0.85 * occlusion + 0.2 * (1.0 - lighting) * density)
+        captured = _clip01((1.0 - difficulty * (1.0 - robustness)) * easy_factor)
+        true_quality = _clip01(
+            captured + self._noise_columns(configuration, segment_indices, "quality", 0.02)
         )
-        captured = np.minimum(
-            np.maximum((1.0 - difficulty * (1.0 - robustness)) * easy_factor, 0.0), 1.0
+        reported_quality = _clip01(
+            captured + self._noise_columns(configuration, segment_indices, "report", 0.03)
         )
-        outcomes: List[SegmentOutcome] = []
-        for position, segment in enumerate(segments):
-            base = float(captured[position])
-            true_quality = self._clip01(base + self._noise(configuration, segment, "quality", 0.02))
-            reported_quality = self._clip01(
-                base + self._noise(configuration, segment, "report", 0.03)
+        entities = np.round(ground_truth_objects * true_quality)
+        return [
+            SegmentOutcome(reported, true, counted)
+            for reported, true, counted in zip(
+                reported_quality.tolist(), true_quality.tolist(), entities.tolist()
             )
-            outcomes.append(self._outcome(segment, true_quality, reported_quality))
-        return outcomes
+        ]
 
     @staticmethod
     def _outcome(

@@ -627,10 +627,18 @@ def test_label_quality_series_rejects_bad_period(
     covid_workload, covid_source, fitted_skyscraper
 ):
     configuration = fitted_skyscraper.profiles.cheapest().configuration
-    with pytest.raises(ConfigurationError):
-        label_quality_series(
-            covid_workload, covid_source, configuration, 0.0, 100.0, 0.0
-        )
+    for period in (0.0, -60.0):
+        for evaluator in (None, EvaluationCache(covid_workload)):
+            with pytest.raises(ConfigurationError):
+                label_quality_series(
+                    covid_workload,
+                    covid_source,
+                    configuration,
+                    0.0,
+                    100.0,
+                    period,
+                    evaluator=evaluator,
+                )
 
 
 # --------------------------------------------------------------------- #
