@@ -46,8 +46,7 @@ def main() -> None:
     # Offline phase (Section 3): a staged pipeline that filters knob
     # configurations and placements, builds content categories and (when
     # enabled) trains the forecaster.  A persistent stage_cache_dir= makes
-    # re-runs resume from the cached per-stage artifacts, and executor=N
-    # fans the stages' independent work units over a process pool.
+    # re-runs resume from the cached per-stage artifacts.
     print("Running the staged offline pipeline on 12 hours of recorded video ...")
     stage_cache_dir = tempfile.mkdtemp(prefix="skyscraper-stages-")
     report = sky.fit(

@@ -1,7 +1,7 @@
 """Process-boundary safety: what crosses into a worker must survive pickling.
 
-:class:`~repro.core.offline.ProcessExecutor` and the service's shard workers
-receive work through ``pickle``.  A lambda, a function defined inside another
+The figure suite's process pool (one figure per worker) and the service's
+shard workers receive work through ``pickle``.  A lambda, a function defined inside another
 function, a generator, an open file or a lock all fail (or worse, behave
 differently) at that boundary — and the failure only shows up on the
 multi-worker path that CI's smoke jobs may not exercise at the offending call
@@ -205,7 +205,7 @@ def _check_function(
 @register_rule(
     RULE_ID,
     description=(
-        "callables and payloads handed to ProcessExecutor/process pools/"
+        "callables and payloads handed to process pools/"
         "service workers must be picklable (no lambdas, nested functions, "
         "bound methods, generators, open files or locks)"
     ),

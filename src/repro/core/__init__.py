@@ -9,8 +9,8 @@ guarantees:
 * :mod:`repro.core.filtering` — knob-configuration filtering by greedy hill
   climbing over diverse sampled segments (Appendix A.1);
 * :mod:`repro.core.offline` — the staged offline pipeline: shared evaluation
-  cache, batched evaluation, pluggable executors, resumable per-stage
-  artifacts (Section 3 end to end);
+  cache, batched evaluation, resumable per-stage artifacts (Section 3 end to
+  end);
 * :mod:`repro.core.categorizer` — content categories from KMeans over
   quality vectors (Section 3.2);
 * :mod:`repro.core.forecaster` — the feed-forward forecasting model
@@ -55,8 +55,6 @@ from repro.core.offline import (
     OfflineFitParams,
     OfflinePhaseReport,
     OfflinePipeline,
-    ProcessExecutor,
-    SerialExecutor,
     StageCache,
     profile_configurations,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "OfflineFitParams",
     "OfflinePhaseReport",
     "OfflinePipeline",
-    "ProcessExecutor",
-    "SerialExecutor",
     "StageCache",
     "profile_configurations",
     "Skyscraper",

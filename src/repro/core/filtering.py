@@ -15,14 +15,11 @@ work-quality Pareto frontier:
 Every function takes an optional ``evaluator`` (a
 :class:`~repro.core.offline.EvaluationCache`): evaluations are then batched
 and deduplicated against the other offline stages.
-``filter_knob_configurations`` additionally accepts an ``executor`` so its
-per-segment hill climbs — independent work units — fan out over a process
-pool.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from repro.ml.pareto import pareto_front
 from repro.video.frame import VideoSegment
 
 if TYPE_CHECKING:
-    from repro.core.offline import EvaluationCache, OfflineExecutor
+    from repro.core.offline import EvaluationCache
 
 
 def configuration_work(
@@ -135,39 +132,21 @@ def sample_diverse_segments(
 
 
 def _segment_frontier(
-    payload: Tuple[
-        VETLWorkload,
-        VideoSegment,
-        float,
-        float,
-        Optional["EvaluationCache"],
-        Optional[Dict[KnobConfiguration, float]],
-    ],
-) -> Tuple[
-    List[KnobConfiguration],
-    Dict[KnobConfiguration, float],
-    Dict[KnobConfiguration, float],
-]:
-    """Hill-climb work unit for one search segment.
+    workload: VETLWorkload,
+    segment: VideoSegment,
+    work_of: Callable[[KnobConfiguration], float],
+    work_weight: float,
+    max_work: float,
+    evaluator: Optional["EvaluationCache"],
+) -> Tuple[List[KnobConfiguration], Dict[KnobConfiguration, float]]:
+    """Hill-climb one search segment.
 
-    Module level so it can run in a process pool; returns the segment's
-    Pareto frontier, the visited configurations with their qualities, and the
-    profiled works.  ``evaluator``/``work_cache`` are only shared in-process
-    (serial execution); pool workers get ``None`` and keep local caches.
+    Returns the segment's Pareto frontier and the visited configurations
+    with their qualities.  ``work_of`` is the caller's memoized work of a
+    configuration, shared across segments.
     """
-    workload, segment, work_weight, max_work, evaluator, shared_work_cache = payload
     knob_space = workload.knob_space
     domains = knob_space.domains_in_order()
-    representative = workload.representative_segment()
-    work_cache = shared_work_cache if shared_work_cache is not None else {}
-
-    def work_of(configuration: KnobConfiguration) -> float:
-        if configuration not in work_cache:
-            work_cache[configuration] = configuration_work(
-                workload, configuration, representative
-            )
-        return work_cache[configuration]
-
     quality_cache: Dict[KnobConfiguration, float] = {}
 
     def quality_of(values: Tuple) -> float:
@@ -198,7 +177,7 @@ def _segment_frontier(
         configuration: (work_of(configuration), quality)
         for configuration, quality in visited.items()
     }
-    return list(pareto_front(points)), visited, dict(work_cache)
+    return list(pareto_front(points)), visited
 
 
 def filter_knob_configurations(
@@ -207,7 +186,6 @@ def filter_knob_configurations(
     work_weight: float = 0.5,
     max_configurations: Optional[int] = None,
     evaluator: Optional["EvaluationCache"] = None,
-    executor: Optional["OfflineExecutor"] = None,
 ) -> Tuple[List[KnobConfiguration], Dict[KnobConfiguration, float]]:
     """Filter the knob space down to an approximate work-quality Pareto set.
 
@@ -220,10 +198,7 @@ def filter_knob_configurations(
         max_configurations: optional cap on the size of the returned set; if
             the union frontier is larger, the configurations with the best
             quality-per-work spread are kept.
-        evaluator: optional shared evaluation cache (serial execution only).
-        executor: optional offline executor; with more than one worker the
-            per-segment hill climbs run as parallel work units.  Evaluations
-            are deterministic, so the result is identical either way.
+        evaluator: optional shared evaluation cache.
 
     Returns:
         ``(configurations, mean_quality)`` where ``configurations`` is ordered
@@ -250,27 +225,11 @@ def filter_knob_configurations(
         1e-9,
     )
 
-    workers = executor.workers if executor is not None else 1
-    parallel = workers > 1 and len(search_segments) > 1
-    if parallel:
-        # Pool workers keep local caches; the shared evaluator/work cache
-        # would not survive the round trip.
-        payloads = [
-            (workload, segment, work_weight, max_work, None, None)
-            for segment in search_segments
-        ]
-        results = executor.map(_segment_frontier, payloads)
-    else:
-        payloads = [
-            (workload, segment, work_weight, max_work, evaluator, work_cache)
-            for segment in search_segments
-        ]
-        results = [_segment_frontier(payload) for payload in payloads]
-
     union: Dict[KnobConfiguration, List[float]] = {}
-    for frontier, visited, works in results:
-        for configuration, work in works.items():
-            work_cache.setdefault(configuration, work)
+    for segment in search_segments:
+        frontier, visited = _segment_frontier(
+            workload, segment, work_of, work_weight, max_work, evaluator
+        )
         for configuration in frontier:
             union.setdefault(configuration, []).append(visited[configuration])
 

@@ -1,9 +1,9 @@
 """The staged offline-phase pipeline (Section 3, Table 3).
 
-``Skyscraper.fit`` used to run the offline learning phase as a serial monolith:
+``Skyscraper.fit`` used to run the offline learning phase as a monolith:
 thousands of independent ``workload.evaluate`` calls in Python loops with no
-memoization, no parallelism and all-or-nothing caching.  This module breaks the
-phase into an explicit :class:`OfflinePipeline` of named stages::
+memoization and all-or-nothing caching.  This module breaks the phase into an
+explicit :class:`OfflinePipeline` of named stages::
 
     sample_segments -> filter_configurations -> profile_placements
         -> content_categories -> label_history -> train_forecaster
@@ -15,18 +15,12 @@ a content-addressed key in a :class:`StageCache`, so re-running ``fit`` with a
 changed downstream parameter (e.g. ``n_categories``) resumes from the cached
 upstream artifacts instead of re-evaluating the history.
 
-Underneath the stages sit two shared mechanisms:
-
-* :class:`EvaluationCache` — memoizes ``workload.evaluate`` outcomes keyed by
-  ``(configuration, segment_index)``, so the quality-vector sampling loop, the
-  history labeling pass, the diverse-segment sampling and the hill climbs stop
-  re-evaluating the same pair across stages; and
-* two executors (:class:`SerialExecutor`, :class:`ProcessExecutor`) —
-  every stage routes its independent work units (evaluation batches, the
-  per-segment hill climbs) through ``executor.map``, so the offline phase
-  scales with cores.  Evaluations are deterministic given ``(configuration,
-  segment)``, so the parallel executors produce artifacts identical to the
-  serial run.
+Underneath the stages sits one shared mechanism, :class:`EvaluationCache`: it
+memoizes ``workload.evaluate`` outcomes keyed by ``(configuration,
+segment_index)``, so the quality-vector sampling loop, the history labeling
+pass, the diverse-segment sampling and the hill climbs stop re-evaluating the
+same pair across stages.  The stages run in one process, so every evaluation
+of a fit passes through that one cache and its hit/miss counts.
 
 Deterministic sampling note: every sampling stage draws from its own RNG
 seeded by ``(seed, stage ordinal)`` instead of sharing one sequential stream.
@@ -36,14 +30,13 @@ was restored from the stage cache.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +48,7 @@ from repro.core.filtering import (
     sample_diverse_segments,
 )
 from repro.core.forecaster import ContentForecaster, ForecastDataset
-from repro.core.interfaces import SegmentOutcome, VETLWorkload, evaluate_pairs
+from repro.core.interfaces import SegmentOutcome, VETLWorkload
 from repro.core.knobs import KnobConfiguration
 from repro.core.profiles import ProfileSet, build_profiles
 from repro.errors import ConfigurationError
@@ -106,102 +99,8 @@ class OfflinePhaseReport:
 
 
 # --------------------------------------------------------------------- #
-# Executors
-# --------------------------------------------------------------------- #
-class SerialExecutor:
-    """Runs work units inline — the default, and the parity reference."""
-
-    workers: int = 1
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every item sequentially, preserving order."""
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        """Nothing to release: serial work runs inline."""
-
-
-class ProcessExecutor:
-    """Fans work units out over a persistent process pool.
-
-    Work-unit functions must be module level and their payloads picklable.
-    Results come back in submission order, so deterministic work units yield
-    artifacts identical to :class:`SerialExecutor`.  The pool is created
-    lazily on the first parallel ``map`` and reused across calls (one fit
-    issues several — forking a fresh pool per stage would dominate the very
-    wall-clock the scaling benchmark measures); call :meth:`close` (or use
-    the executor as a context manager) to release the workers.  Pipelines
-    that *created* the executor from a worker count close it automatically.
-    """
-
-    def __init__(self, workers: int):
-        """Create an executor for ``workers`` pool processes (lazily started)."""
-        if workers < 1:
-            raise ConfigurationError("a ProcessExecutor needs at least 1 worker")
-        self.workers = workers
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every item on the pool, in submission order."""
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._pool.map(fn, items))
-
-    def close(self) -> None:
-        """Shut the worker pool down; a later ``map`` re-creates it lazily."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ProcessExecutor":
-        """Context-manager entry; returns the executor itself."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: shuts the worker pool down."""
-        self.close()
-
-
-#: The executors the offline stages run their work units on.
-OfflineExecutor = Union[SerialExecutor, ProcessExecutor]
-
-
-def resolve_executor(executor: Optional[Union[int, OfflineExecutor]]) -> OfflineExecutor:
-    """Accept ``None`` (serial), a worker count, or an executor instance."""
-    if executor is None:
-        return SerialExecutor()
-    if isinstance(executor, int):
-        return SerialExecutor() if executor <= 1 else ProcessExecutor(executor)
-    if not isinstance(executor, (SerialExecutor, ProcessExecutor)):
-        raise ConfigurationError(
-            "executor must be None, a worker count, a SerialExecutor or a "
-            f"ProcessExecutor, not {type(executor).__name__}"
-        )
-    return executor
-
-
-# --------------------------------------------------------------------- #
 # Shared evaluation cache
 # --------------------------------------------------------------------- #
-def _evaluate_chunk(
-    payload: Tuple[VETLWorkload, List[Tuple[KnobConfiguration, VideoSegment]]],
-) -> List[SegmentOutcome]:
-    """Process-pool work unit: evaluate one chunk of (configuration, segment) pairs."""
-    workload, pairs = payload
-    return evaluate_pairs(workload, pairs)
-
-
-def _evaluate_column_chunk(
-    payload: Tuple[VETLWorkload, KnobConfiguration, SegmentColumns],
-) -> List[SegmentOutcome]:
-    """Process-pool work unit: evaluate one configuration on one chunk of rows."""
-    workload, configuration, columns = payload
-    return workload.evaluate_columns(configuration, columns)
-
-
 class _Batch:
     """One lookup batch of an :class:`EvaluationCache`, row by row.
 
@@ -229,23 +128,16 @@ class EvaluationCache:
     are evaluated exactly once.  A batch looks each of its configurations up
     once and each row by its int segment index.  Batched misses are
     delegated to ``workload.evaluate_many`` (pairs) or
-    ``workload.evaluate_columns`` (a column batch of one configuration) and,
-    with a multi-worker executor, fanned out over contiguous chunks of a
-    process pool.
+    ``workload.evaluate_columns`` (a column batch of one configuration).
 
     Workloads are deterministic given (configuration, segment) by contract
-    (:class:`~repro.core.interfaces.VETLWorkload`), which is what makes both
-    the memoization and the parallel fan-out bit-for-bit safe.
+    (:class:`~repro.core.interfaces.VETLWorkload`), which is what makes the
+    memoization bit-for-bit safe.
     """
 
-    def __init__(
-        self,
-        workload: VETLWorkload,
-        executor: Optional[Union[int, OfflineExecutor]] = None,
-    ):
-        """An empty cache for ``workload``; ``executor`` fans out batch misses."""
+    def __init__(self, workload: VETLWorkload):
+        """An empty cache for ``workload``."""
         self.workload = workload
-        self.executor = resolve_executor(executor)
         self._outcomes: Dict[KnobConfiguration, Dict[int, SegmentOutcome]] = {}
         self._source_key: Optional[str] = None
         self.hits = 0
@@ -314,7 +206,7 @@ class EvaluationCache:
             start = stop
         outcomes: List[SegmentOutcome] = []
         if batch.misses:
-            outcomes = self._evaluate_pending([pairs[row] for row, _, _ in batch.misses])
+            outcomes = self.workload.evaluate_many([pairs[row] for row, _, _ in batch.misses])
         return self._settle(batch, outcomes)
 
     def evaluate_columns(
@@ -332,7 +224,7 @@ class EvaluationCache:
         outcomes: List[SegmentOutcome] = []
         if batch.misses:
             rows = np.array([row for row, _, _ in batch.misses], dtype=np.int64)
-            outcomes = self._evaluate_pending_columns(configuration, columns.take(rows))
+            outcomes = self.workload.evaluate_columns(configuration, columns.take(rows))
         return self._settle(batch, outcomes)
 
     def _claim(
@@ -374,44 +266,6 @@ class EvaluationCache:
         self.misses += len(batch.misses)
         self.hits += len(results) - len(batch.misses)
         return results  # type: ignore[return-value]
-
-    def _chunks(self, count: int) -> List[Tuple[int, int]]:
-        """Contiguous ``[lo, hi)`` chunks of ``count`` misses, one per work unit.
-
-        One chunk unless a multi-worker executor gets at least two misses per
-        worker; then up to four chunks per worker.
-        """
-        workers = self.executor.workers
-        if workers <= 1 or count < 2 * workers:
-            return [(0, count)]
-        bounds = np.linspace(0, count, min(count, workers * 4) + 1).astype(int).tolist()
-        return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-    def _evaluate_pending(
-        self, pairs: List[Tuple[KnobConfiguration, VideoSegment]]
-    ) -> List[SegmentOutcome]:
-        chunks = self._chunks(len(pairs))
-        if len(chunks) == 1:
-            return evaluate_pairs(self.workload, pairs)
-        outcome_chunks = self.executor.map(
-            _evaluate_chunk, [(self.workload, pairs[lo:hi]) for lo, hi in chunks]
-        )
-        return [outcome for chunk in outcome_chunks for outcome in chunk]
-
-    def _evaluate_pending_columns(
-        self, configuration: KnobConfiguration, columns: SegmentColumns
-    ) -> List[SegmentOutcome]:
-        chunks = self._chunks(len(columns))
-        if len(chunks) == 1:
-            return self.workload.evaluate_columns(configuration, columns)
-        outcome_chunks = self.executor.map(
-            _evaluate_column_chunk,
-            [
-                (self.workload, configuration, columns.take(np.arange(lo, hi)))
-                for lo, hi in chunks
-            ],
-        )
-        return [outcome for chunk in outcome_chunks for outcome in chunk]
 
 
 # --------------------------------------------------------------------- #
@@ -665,11 +519,8 @@ class OfflinePipeline:
         planned_interval_seconds: the planner period the forecaster predicts.
         seed: base seed; stage ``k`` samples from ``default_rng((seed, k))``.
         params: the sampling/training knobs (see :class:`OfflineFitParams`).
-        executor: ``None``/worker count/executor instance for the stages'
-            independent work units.
         evaluation_cache: optional shared :class:`EvaluationCache` (e.g. to
-            reuse evaluations across repeated fits); its executor is aligned
-            with the pipeline's.
+            reuse evaluations across repeated fits).
         stage_cache_dir: optional directory for persistent per-stage
             artifacts (see :class:`StageCache`).
     """
@@ -688,7 +539,6 @@ class OfflinePipeline:
         planned_interval_seconds: float = 2 * SECONDS_PER_DAY,
         seed: int = 0,
         params: Optional[OfflineFitParams] = None,
-        executor: Optional[Union[int, OfflineExecutor]] = None,
         evaluation_cache: Optional[EvaluationCache] = None,
         stage_cache_dir: Optional[Union[str, Path]] = None,
     ):
@@ -703,16 +553,11 @@ class OfflinePipeline:
         self.planned_interval_seconds = planned_interval_seconds
         self.seed = seed
         self.params = params or OfflineFitParams()
-        # Executors built here from a worker count are owned by the pipeline
-        # and closed at the end of run(); caller-provided instances are not.
-        self._owns_executor = executor is None or isinstance(executor, int)
-        self.executor = resolve_executor(executor)
         # `if ... is None` rather than `or`: an empty shared cache is falsy.
         self.evaluations = (
             evaluation_cache if evaluation_cache is not None else EvaluationCache(workload)
         )
         self.evaluations.bind(workload, _digest_payload(self._source_payload()))
-        self.evaluations.executor = self.executor
         self.stage_cache = (
             StageCache(stage_cache_dir) if stage_cache_dir is not None else None
         )
@@ -739,13 +584,6 @@ class OfflinePipeline:
     # ------------------------------------------------------------------ #
     def run(self) -> OfflineFitResult:
         """Run (or resume) every stage and assemble the fit result."""
-        try:
-            return self._run_stages()
-        finally:
-            if self._owns_executor:
-                self.executor.close()
-
-    def _run_stages(self) -> OfflineFitResult:
         report = OfflinePhaseReport()
         context = self.context = {}
         digests: Dict[str, str] = {}
@@ -948,7 +786,6 @@ class OfflinePipeline:
             context["search_segments"],
             max_configurations=self.params.max_configurations,
             evaluator=self.evaluations,
-            executor=self.executor,
         )
         context["configurations"] = configurations
         context["mean_quality"] = mean_quality

@@ -44,7 +44,6 @@ from repro.core.forecaster import ContentForecaster
 from repro.core.interfaces import VETLWorkload
 from repro.core.offline import (
     EvaluationCache,
-    OfflineExecutor,
     OfflineFitParams,
     OfflinePhaseReport,
     OfflinePipeline,
@@ -168,7 +167,7 @@ class Skyscraper:
         forecast_input_days: float = 2.0,
         max_configurations: int = 8,
         train_forecaster: bool = True,
-        executor: Optional[Union[int, OfflineExecutor]] = None,
+        executor: None = None,
         evaluation_cache: Optional[EvaluationCache] = None,
         stage_cache_dir: Optional[Union[str, Path]] = None,
     ) -> OfflinePhaseReport:
@@ -179,13 +178,17 @@ class Skyscraper:
         do not overlap (as in the paper's 16-day-train / 8-day-test split).
 
         The phase itself is a thin wrapper over
-        :class:`~repro.core.offline.OfflinePipeline`: ``executor`` (``None``,
-        a worker count, or an executor instance) parallelizes the stages'
-        independent work units, ``evaluation_cache`` shares memoized
-        evaluations across repeated fits, and ``stage_cache_dir`` persists
-        per-stage artifacts so a re-run resumes from whatever upstream stages
-        are still valid.
+        :class:`~repro.core.offline.OfflinePipeline`: ``evaluation_cache``
+        shares memoized evaluations across repeated fits, and
+        ``stage_cache_dir`` persists per-stage artifacts so a re-run resumes
+        from whatever upstream stages are still valid.  The fit runs in this
+        process; ``executor`` accepts only ``None`` and any other value
+        raises :class:`~repro.errors.ConfigurationError`.
         """
+        if executor is not None:
+            raise ConfigurationError(
+                f"the offline fit runs serially; executor must be None, not {executor!r}"
+            )
         pipeline = OfflinePipeline(
             workload=self.workload,
             source=source,
@@ -207,7 +210,6 @@ class Skyscraper:
                 max_configurations=max_configurations,
                 train_forecaster=train_forecaster,
             ),
-            executor=executor,
             evaluation_cache=evaluation_cache,
             stage_cache_dir=stage_cache_dir,
         )

@@ -132,7 +132,6 @@ def prepare_bundle(
     config: Optional[ExperimentConfig] = None,
     reference_cores: int = 8,
     cache_dir: Optional[Union[str, Path]] = None,
-    fit_workers: Optional[int] = None,
 ) -> SystemBundle:
     """Run the offline phase once for a workload setup.
 
@@ -142,8 +141,6 @@ def prepare_bundle(
     parameter (say ``n_categories``) reuses the upstream stages.  ``fit``
     always runs, so its :class:`~repro.core.offline.OfflinePhaseReport`, with
     the per-stage cache hits, lands on ``SystemBundle.offline_report``.
-    ``fit_workers`` > 1 runs the offline stages' independent work units on a
-    process pool.
     """
     config = config or ExperimentConfig(
         history_days=setup.history_days, online_days=setup.online_days
@@ -174,7 +171,6 @@ def prepare_bundle(
         unlabeled_days=config.history_days,
         train_forecaster=config.train_forecaster,
         max_configurations=config.max_configurations,
-        executor=fit_workers,
         stage_cache_dir=stage_cache_dir,
         **fit_overrides,
     )

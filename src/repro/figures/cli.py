@@ -74,12 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="process-parallel fan-out across specs (default: sequential)",
     )
     run.add_argument(
-        "--fit-workers",
-        type=int,
-        default=None,
-        help="process-pool workers inside each offline fit",
-    )
-    run.add_argument(
         "--out", default=DEFAULT_OUT_DIR, help="artifact directory (one JSON per figure)"
     )
     run.add_argument(
@@ -143,12 +137,7 @@ def _load_registered(artifacts_dir: Union[str, Path]) -> List[FigureArtifact]:
 
 def _command_run(args: argparse.Namespace) -> int:
     ids = figure_names() if args.all else list(args.only)
-    suite = FigureSuite(
-        out_dir=args.out,
-        cache_dir=args.cache_dir,
-        smoke=args.smoke,
-        fit_workers=args.fit_workers,
-    )
+    suite = FigureSuite(out_dir=args.out, cache_dir=args.cache_dir, smoke=args.smoke)
     print(
         f"Running {len(ids)} figure spec(s) in {suite.mode} mode "
         f"(workers={args.workers}, artifacts -> {suite.out_dir}, "

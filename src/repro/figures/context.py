@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.core.offline import OfflinePhaseReport
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     ExperimentConfig,
@@ -120,17 +121,14 @@ class BundleProvider:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         smoke: bool = False,
-        fit_workers: Optional[int] = None,
     ):
         """Args:
         cache_dir: on-disk cache root shared across processes and runs
             (``None`` disables disk caching entirely).
         smoke: size windows for CI instead of the benchmark scale.
-        fit_workers: process-pool workers for each fit's internal stages.
         """
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.smoke = bool(smoke)
-        self.fit_workers = fit_workers
         self.counters = CacheCounters()
         self._bundles: Dict[Tuple[Any, ...], SystemBundle] = {}
 
@@ -199,17 +197,19 @@ class BundleProvider:
         figure with its own setup calls this directly so its fit still shows
         in the counters.
         """
-        bundle = prepare_bundle(
-            setup,
-            config,
-            cache_dir=self.cache_dir,
-            fit_workers=self.fit_workers,
-        )
-        report = bundle.offline_report
+        bundle = prepare_bundle(setup, config, cache_dir=self.cache_dir)
+        self.count_fit(bundle.offline_report)
+        return bundle
+
+    def count_fit(self, report: OfflinePhaseReport) -> None:
+        """Add one fit's report to the counters.
+
+        A figure that calls ``Skyscraper.fit`` itself, outside the stage
+        cache, passes its report here so the fit shows in its cache column.
+        """
         self.counters.fits += 1
         self.counters.stage_hits += sum(1 for hit in report.stage_cache_hits.values() if hit)
         self.counters.evaluation_hits += report.evaluation_cache_hits
-        return bundle
 
 
 @dataclass

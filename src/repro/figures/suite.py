@@ -115,7 +115,6 @@ class FigureSuite:
             processes and suite runs; defaults to ``<out_dir>/.cache`` when
             an ``out_dir`` is given.
         smoke: CI-sized windows and sweep axes instead of benchmark scale.
-        fit_workers: process-pool workers inside each offline fit.
     """
 
     def __init__(
@@ -123,17 +122,13 @@ class FigureSuite:
         out_dir: Optional[Union[str, Path]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         smoke: bool = False,
-        fit_workers: Optional[int] = None,
     ):
         self.out_dir = Path(out_dir).expanduser() if out_dir else None
         if cache_dir is None and self.out_dir is not None:
             cache_dir = self.out_dir / ".cache"
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else None
         self.smoke = bool(smoke)
-        self.fit_workers = fit_workers
-        self.provider = BundleProvider(
-            cache_dir=self.cache_dir, smoke=self.smoke, fit_workers=fit_workers
-        )
+        self.provider = BundleProvider(cache_dir=self.cache_dir, smoke=self.smoke)
 
     @property
     def mode(self) -> str:
@@ -201,7 +196,6 @@ class FigureSuite:
             "out_dir": str(self.out_dir) if self.out_dir else None,
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "smoke": self.smoke,
-            "fit_workers": self.fit_workers,
         }
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(ids)),

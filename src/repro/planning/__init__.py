@@ -50,7 +50,7 @@ from repro.planning.solvers import (
     register_planner,
     solve_ladder,
 )
-from repro.planning.tenants import TenantSpec, tilt_forecast
+from repro.planning.tenants import TenantSpec
 
 __all__ = [
     "AdmissionController",
@@ -73,5 +73,4 @@ __all__ = [
     "planner_names",
     "register_planner",
     "solve_ladder",
-    "tilt_forecast",
 ]

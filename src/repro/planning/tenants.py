@@ -11,7 +11,7 @@ planning layer importable without a fitted system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -96,28 +96,3 @@ class TenantSpec:
     def total_weight(self) -> float:
         """The tenant's total pull on the objective (``weight * n_streams``)."""
         return self.weight * self.n_streams
-
-
-def tilt_forecast(
-    base: Sequence[float], category: int, strength: float = 2.0
-) -> np.ndarray:
-    """A copy of ``base`` with ``category`` over-represented by ``strength``.
-
-    Used to build *heterogeneous* tenants from one fitted workload: each
-    tenant expects a different content mix, so the knob planner prices their
-    quality differently and the joint allocation becomes non-trivial.
-    """
-    forecast = np.asarray(base, dtype=float).copy()
-    if forecast.ndim != 1 or forecast.size == 0:
-        raise ConfigurationError("base forecast must be a non-empty 1-d vector")
-    if not 0 <= category < forecast.size:
-        raise ConfigurationError(
-            f"category {category} out of range for {forecast.size} categories"
-        )
-    if strength <= 0:
-        raise ConfigurationError(f"strength must be > 0, got {strength}")
-    forecast[category] *= strength
-    total = float(forecast.sum())
-    if total <= 0:
-        raise ConfigurationError("tilted forecast lost all mass")
-    return forecast / total

@@ -7,16 +7,16 @@ traffic cycles, rush-hour peaks, random pedestrian bursts that change the
 content category every few tens of seconds, lighting changes, and the
 synthetic spike patterns of the MOSEI workloads.
 
-The substrate exposes frames, segments, streams, an H.264-like size/decode
-cost model, and the byte-bounded video buffer required by the V-ETL
-throughput constraint (Equation 1).
+The substrate exposes frames, segments, streams and an H.264-like size/decode
+cost model.  The byte-bounded buffer of the V-ETL throughput constraint
+(Equation 1) is tracked per stream by the engine
+(:class:`~repro.core.events.StreamSession`).
 """
 
 from repro.video.content import ContentState, ContentModel, DiurnalProfile, SpikeSchedule
 from repro.video.frame import Frame, SyntheticObject, VideoSegment
-from repro.video.stream import SyntheticVideoSource, StreamGroup, StreamConfig
+from repro.video.stream import SyntheticVideoSource, StreamConfig
 from repro.video.codec import H264SizeModel, DecodeCostModel, EncodedPayload
-from repro.video.buffer import VideoBuffer, BufferSnapshot
 
 __all__ = [
     "ContentState",
@@ -27,11 +27,8 @@ __all__ = [
     "SyntheticObject",
     "VideoSegment",
     "SyntheticVideoSource",
-    "StreamGroup",
     "StreamConfig",
     "H264SizeModel",
     "DecodeCostModel",
     "EncodedPayload",
-    "VideoBuffer",
-    "BufferSnapshot",
 ]

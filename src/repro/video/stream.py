@@ -1,18 +1,16 @@
-"""Synthetic video sources and multi-stream groups.
+"""Synthetic video sources.
 
 A :class:`SyntheticVideoSource` turns a :class:`~repro.video.content.ContentModel`
 into a sequence of :class:`~repro.video.frame.VideoSegment` objects at a fixed
 frame rate and resolution, mirroring how the paper reads pre-recorded video
-from disk and paces it to 30 fps (Section 5.1).  A :class:`StreamGroup` models
-the MOSEI scenario where a time-varying number of concurrent streams must be
-ingested together.
+from disk and paces it to 30 fps (Section 5.1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -217,51 +215,3 @@ class SyntheticVideoSource:
     def record(self, start_time: float, end_time: float) -> List[VideoSegment]:
         """Materialize a historical recording (used by the offline phase)."""
         return list(self.segments(start_time, end_time))
-
-
-class StreamGroup:
-    """A set of concurrent streams with a time-varying active count.
-
-    The MOSEI workloads ingest a number of Twitch-like streams that follows a
-    diurnal pattern plus synthetic spikes (Section 5.2).  The group exposes
-    the number of active streams at any time and produces one representative
-    segment per active stream.
-
-    Args:
-        sources: the member streams.
-        active_count_fn: maps a timestamp to the number of active streams;
-            values are clipped to ``[1, len(sources)]``.
-    """
-
-    def __init__(
-        self,
-        sources: Sequence[SyntheticVideoSource],
-        active_count_fn: Callable[[float], float],
-    ):
-        if not sources:
-            raise ConfigurationError("a StreamGroup needs at least one source")
-        self.sources = list(sources)
-        self.active_count_fn = active_count_fn
-
-    @property
-    def max_streams(self) -> int:
-        return len(self.sources)
-
-    def active_count(self, timestamp: float) -> int:
-        """Number of active streams at ``timestamp``."""
-        raw = self.active_count_fn(timestamp)
-        return int(min(max(round(raw), 1), len(self.sources)))
-
-    def segments_at(self, segment_index: int) -> List[VideoSegment]:
-        """One segment per active stream for the given segment index."""
-        reference = self.sources[0]
-        timestamp = segment_index * reference.segment_seconds
-        count = self.active_count(timestamp)
-        return [source.segment_at(segment_index) for source in self.sources[:count]]
-
-    def load_profile(self, start_time: float, end_time: float, step_seconds: float) -> List[int]:
-        """Active-stream counts sampled over a time range (for plots/tests)."""
-        if step_seconds <= 0:
-            raise ConfigurationError("step_seconds must be positive")
-        steps = int(math.ceil((end_time - start_time) / step_seconds))
-        return [self.active_count(start_time + index * step_seconds) for index in range(steps)]

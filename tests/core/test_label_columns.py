@@ -195,29 +195,6 @@ def test_cache_entry_points_serve_each_other(first, ev_workload, covid_workload)
         assert all(ours is theirs for ours, theirs in zip(served, stored))
 
 
-def test_cache_columns_on_two_workers_match_serial(ev_workload):
-    source = ev_workload.make_source()
-    configuration = ev_workload.named_configurations()["expensive"]
-    columns = source.segment_index_columns(_scrambled_indices(days=0.2, step=53, seed=3))
-    serial = _warm_cache(ev_workload, source, configuration)
-    pooled = EvaluationCache(ev_workload, executor=2)
-    try:
-        pooled.evaluate_many(
-            [(configuration, source.segment_at(index)) for index in (4, 9)]
-            + [
-                (list(ev_workload.knob_space.all_configurations())[-1], source.segment_at(index))
-                for index in (4, 5)
-            ]
-        )
-        ours = pooled.evaluate_columns(configuration, columns)
-    finally:
-        pooled.executor.close()
-    theirs = serial.evaluate_columns(configuration, columns)
-    assert _outcome_bytes(ours) == _outcome_bytes(theirs)
-    assert (pooled.hits, pooled.misses) == (serial.hits, serial.misses)
-    assert len(pooled) == len(serial)
-
-
 def test_cache_len_counts_distinct_pairs(ev_workload):
     source = ev_workload.make_source()
     cheap, medium = (ev_workload.named_configurations()[name] for name in ("cheap", "medium"))

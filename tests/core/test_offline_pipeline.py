@@ -13,8 +13,8 @@ identically:
 
 Everything else — the hill climbs, the Pareto filtering, clustering, history
 labeling and forecaster training — is the original code, so the parity tests
-prove that the pipeline's caching, batching and process-pool execution leave
-the learned artifacts bit-for-bit unchanged.
+prove that the pipeline's caching and batching leave the learned artifacts
+bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -33,11 +33,8 @@ from repro.core.offline import (
     EvaluationCache,
     OfflineFitParams,
     OfflinePipeline,
-    ProcessExecutor,
-    SerialExecutor,
     label_quality_series,
     label_segments,
-    resolve_executor,
 )
 from repro.core.profiles import build_profiles
 from repro.core.skyscraper import Skyscraper, SkyscraperResources
@@ -46,6 +43,7 @@ from repro.ml.hillclimb import hill_climb
 from repro.ml.pareto import pareto_front
 from repro.video.content import ContentModel
 from repro.video.stream import SyntheticVideoSource
+from repro.workloads.ev import make_ev_setup
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -403,13 +401,6 @@ def test_report_keeps_table3_step_names(trained_skyscraper):
     )
 
 
-def test_process_pool_executor_matches_serial(
-    covid_workload, covid_source, reference_fit
-):
-    sky = _fit_skyscraper(covid_workload, covid_source, executor=2)
-    _assert_matches_reference(sky, reference_fit)
-
-
 # --------------------------------------------------------------------- #
 # Stage cache: resumable per-stage artifacts
 # --------------------------------------------------------------------- #
@@ -519,33 +510,29 @@ def test_stage_keys_fingerprint_the_full_content_model(covid_workload, covid_sou
     assert baseline._base_payload() != drifting._base_payload()
 
 
-def test_process_executor_reuses_one_pool():
-    with ProcessExecutor(2) as executor:
-        assert executor.map(len, [[1], [1, 2]]) == [1, 2]
-        pool = executor._pool
-        assert pool is not None
-        assert executor.map(len, [[0] * 3, [0] * 4]) == [3, 4]
-        assert executor._pool is pool  # reused, not re-forked per map()
-    assert executor._pool is None  # closed on exit
+def test_fit_report_counts_every_row_the_workload_scores(monkeypatch):
+    """Every evaluation of a fit goes through its one evaluation cache, so
+    the report's misses are exactly the rows the workload scored."""
+    setup = make_ev_setup(history_days=FIT_KWARGS["unlabeled_days"], online_days=0.01)
+    workload = setup.workload
+    scored: List[int] = []
+    score = workload._score
+
+    def counting_score(configuration, segment_indices, *columns):
+        scored.append(len(segment_indices))
+        return score(configuration, segment_indices, *columns)
+
+    monkeypatch.setattr(workload, "_score", counting_score)
+    report = Skyscraper(workload, RESOURCES, **SKY_KWARGS).fit(setup.source, **FIT_KWARGS)
+    assert sum(scored) > 0
+    assert report.evaluation_cache_misses == sum(scored)
 
 
-def test_resolve_executor_accepts_counts_and_instances():
-    assert isinstance(resolve_executor(None), SerialExecutor)
-    assert isinstance(resolve_executor(1), SerialExecutor)
-    pool = resolve_executor(4)
-    assert isinstance(pool, ProcessExecutor) and pool.workers == 4
-    assert resolve_executor(pool) is pool
-    with pytest.raises(ConfigurationError):
-        resolve_executor("not an executor")
-
-    class LookalikeExecutor:
-        workers = 2
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    with pytest.raises(ConfigurationError, match="LookalikeExecutor"):
-        resolve_executor(LookalikeExecutor())
+def test_fit_rejects_an_executor(covid_workload, covid_source):
+    sky = Skyscraper(covid_workload, RESOURCES, **SKY_KWARGS)
+    with pytest.raises(ConfigurationError, match="executor must be None"):
+        sky.fit(covid_source, executor=2, **FIT_KWARGS)
+    assert sky.report is None
 
 
 # --------------------------------------------------------------------- #

@@ -147,7 +147,7 @@ class TestBuiltinCatalog:
     EXPECTED = {
         "fig03", "fig04", "fig05_11", "fig06_12", "fig13", "fig14", "fig15",
         "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-        "fig23", "table1", "table6", "fleet_scaling", "offline_scaling",
+        "fig23", "table1", "table6", "fleet_scaling", "offline_refit",
         "fleet_service_scaling", "fleet_joint_planning", "regime_shift",
     }
 

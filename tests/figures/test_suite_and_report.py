@@ -132,6 +132,25 @@ def test_regime_shift_counts_its_fit_in_the_cache_column(tmp_path):
     assert warm.payload == cold.payload
 
 
+@pytest.mark.parametrize(
+    "figure_id, fits, warm_stage_hits",
+    # fig18 fits covid around the stage cache (it times the stages) and
+    # reads the memoized covid bundle; offline_refit fits twice through one
+    # evaluation cache and never touches the stage cache.
+    [("fig18", 2, 4), ("offline_refit", 2, 0)],
+)
+def test_direct_fits_count_in_the_cache_column(tmp_path, figure_id, fits, warm_stage_hits):
+    """A figure that calls ``Skyscraper.fit`` itself still counts every fit."""
+    cold = FigureSuite(out_dir=tmp_path, smoke=True).run_one(figure_id)
+    assert cold.status == STATUS_OK, cold.error
+    assert cold.meta["cache"]["fits"] == fits
+    assert cold.meta["cache"]["stage_hits"] == 0
+    warm = FigureSuite(out_dir=tmp_path, smoke=True).run_one(figure_id)
+    assert warm.status == STATUS_OK, warm.error
+    assert warm.meta["cache"]["fits"] == fits
+    assert warm.meta["cache"]["stage_hits"] == warm_stage_hits
+
+
 def test_regime_shift_smoke_skyscraper_beats_static():
     """Fit on pre-shift history only, Skyscraper still beats static by the margin."""
     artifact = FigureSuite(smoke=True).run_one("regime_shift")

@@ -1,14 +1,12 @@
 """Tests for frames, segments, codec models and the synthetic sources."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.video.codec import BYTES_PER_DAY_HD, DecodeCostModel, H264SizeModel
 from repro.video.content import ContentModel, SpikeSchedule
-from repro.video.stream import StreamConfig, StreamGroup, SyntheticVideoSource
+from repro.video.stream import StreamConfig, SyntheticVideoSource
 
 
 @pytest.fixture(scope="module")
@@ -117,27 +115,6 @@ def test_codec_validation():
         H264SizeModel().cloud_frame_payload(1280, 720, tiles=0)
     with pytest.raises(ConfigurationError):
         DecodeCostModel(milliseconds_per_hd_frame=0.0)
-
-
-# --------------------------------------------------------------------- #
-# Stream groups
-# --------------------------------------------------------------------- #
-def test_stream_group_active_count_follows_function():
-    sources = [
-        SyntheticVideoSource(ContentModel(seed=index), StreamConfig(stream_id=f"s{index}"))
-        for index in range(10)
-    ]
-    group = StreamGroup(sources, active_count_fn=lambda timestamp: 3 + 4 * math.sin(timestamp))
-    counts = group.load_profile(0.0, 100.0, 10.0)
-    assert all(1 <= count <= 10 for count in counts)
-    assert group.max_streams == 10
-    segments = group.segments_at(5)
-    assert len(segments) == group.active_count(5 * 2.0)
-
-
-def test_stream_group_requires_sources():
-    with pytest.raises(ConfigurationError):
-        StreamGroup([], active_count_fn=lambda t: 1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,18 +3,12 @@
 The ``regime_shift`` figure's claim rests on the regime workload being a fixed,
 replayable universe: content states must be bit-identical across batch
 chunkings and :meth:`ContentModel.with_seed` replicas (fleet scenarios
-re-seed cameras through it), and the offline fit must not depend on whether
-its stages fan out over a process pool.
+re-seed cameras through it), and recorded segments must replay identically.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.offline import (
-    OfflineFitParams,
-    OfflinePipeline,
-    ProcessExecutor,
-)
 from repro.workloads.regime import make_regime_setup
 
 SECONDS_PER_DAY = 86_400.0
@@ -86,38 +80,3 @@ def test_recorded_segments_are_replayable(regime_setup):
     first = regime_setup.workload.make_source().record(*window)
     second = regime_setup.workload.make_source().record(*window)
     assert first == second
-
-
-def _fit(regime_setup, executor):
-    pipeline = OfflinePipeline(
-        workload=regime_setup.workload,
-        source=regime_setup.source,
-        cores=4,
-        n_categories=4,
-        seed=0,
-        params=OfflineFitParams(
-            unlabeled_days=0.1,
-            labeled_minutes=5.0,
-            n_presample_segments=40,
-            n_category_samples=60,
-            forecast_label_period_seconds=120.0,
-            max_configurations=5,
-            train_forecaster=False,
-        ),
-        executor=executor,
-    )
-    return pipeline.run()
-
-
-def test_offline_fit_identical_serial_vs_process_pool(regime_setup):
-    """The fit's label series and clustering must not depend on the
-    executor: a process pool only changes *where* work runs."""
-    serial = _fit(regime_setup, executor=None)
-    with ProcessExecutor(2) as pool:
-        parallel = _fit(regime_setup, executor=pool)
-    assert serial.labels == parallel.labels
-    assert np.array_equal(serial.categorizer.centers, parallel.categorizer.centers)
-    assert len(serial.profiles) == len(parallel.profiles)
-    for ours, theirs in zip(serial.profiles, parallel.profiles):
-        assert ours.configuration == theirs.configuration
-        assert ours.mean_quality == theirs.mean_quality
