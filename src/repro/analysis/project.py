@@ -20,7 +20,7 @@ from repro.errors import ConfigurationError
 #: Directories under ``src/repro`` whose outputs back a parity oracle; the
 #: determinism rule only patrols these (service timestamps et al. are
 #: legitimately wall-clock).
-PARITY_SCOPES: Tuple[str, ...] = ("core/", "video/", "workloads/")
+PARITY_SCOPES: Tuple[str, ...] = ("core/", "video/", "vision/", "workloads/")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 The columnar hot path and the offline pipeline are pinned by bit-for-bit
 parity oracles.  Those oracles only hold while every random draw flows from
 an explicitly seeded generator and every timestamp is an input, so inside
-the modules that back them (``core/``, ``video/``, ``workloads/``) this rule
-bans:
+the modules that back them (``core/``, ``video/``, ``vision/``,
+``workloads/``) this rule bans:
 
 * the stdlib ``random`` module-level API (``random.random()``,
   ``random.randint()``, ...) — one hidden global stream; seeded
@@ -181,9 +181,9 @@ def _check_call(node: ast.Call, imports: _ImportMap, relpath: str) -> Iterator[F
     RULE_ID,
     description=(
         "no unseeded RNG or wall-clock reads in the modules backing parity "
-        "oracles (core/, video/, workloads/)"
+        "oracles (core/, video/, vision/, workloads/)"
     ),
-    scope="src/repro/{core,video,workloads}/**",
+    scope="src/repro/{core,video,vision,workloads}/**",
 )
 def check_determinism(project: Project) -> Iterator[Finding]:
     """Flag ambient-randomness and wall-clock calls in parity-scoped modules."""

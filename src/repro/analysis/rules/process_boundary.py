@@ -9,11 +9,10 @@ site.  This rule flags the hand-off statically:
 
 * ``<executor>.map(fn, ...)`` / ``<pool>.submit(fn, ...)`` where the receiver
   is executor-shaped (named ``*executor*``/``*pool*`` or assigned from
-  ``ProcessExecutor`` / ``ProcessPoolExecutor`` / ``resolve_executor``):
-  ``fn`` must be a module-level or imported callable — lambdas, nested
-  functions and bound ``self.<method>`` callables are flagged; generator
-  expressions and names bound to ``Lock()``/``open()`` in the argument list
-  are flagged too;
+  ``ProcessPoolExecutor`` / ``Pool``): ``fn`` must be a module-level or
+  imported callable — lambdas, nested functions and bound ``self.<method>``
+  callables are flagged; generator expressions and names bound to
+  ``Lock()``/``open()`` in the argument list are flagged too;
 * ``Process(target=...)`` (any ``multiprocessing`` context): the target must
   be module-level or imported; generator expressions and inline ``open()``
   calls in ``args=`` are flagged.  Passing ``multiprocessing`` primitives
@@ -32,7 +31,7 @@ from repro.analysis.project import Project, dotted_name
 
 RULE_ID = "process-boundary"
 
-_EXECUTOR_FACTORIES = {"ProcessExecutor", "ProcessPoolExecutor", "resolve_executor", "Pool"}
+_EXECUTOR_FACTORIES = {"ProcessPoolExecutor", "Pool"}
 _LOCK_FACTORIES = {"Lock", "RLock", "Condition", "Semaphore"}
 
 

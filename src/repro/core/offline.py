@@ -179,12 +179,6 @@ class EvaluationCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def evaluate(
-        self, configuration: KnobConfiguration, segment: VideoSegment
-    ) -> SegmentOutcome:
-        """The memoized outcome of evaluating one (configuration, segment)."""
-        return self.evaluate_many([(configuration, segment)])[0]
-
     def evaluate_many(
         self, pairs: Sequence[Tuple[KnobConfiguration, VideoSegment]]
     ) -> List[SegmentOutcome]:

@@ -797,6 +797,12 @@ def _run_fig18(ctx: FigureContext) -> Dict[str, Any]:
         for step, seconds in report.step_runtimes_seconds.items()
     ]
     dominant = max(steps, key=lambda row: row["runtime_s"])
+    total_seconds = report.total_runtime_seconds
+    training_data_share = (
+        report.step_runtimes_seconds.get("create_forecast_training_data", 0.0) / total_seconds
+        if total_seconds > 0
+        else 0.0
+    )
 
     bundle = ctx.bundle("covid")
     labels = category_label_series(bundle, 0.0, ctx.history_days, period_seconds=120.0)
@@ -816,8 +822,9 @@ def _run_fig18(ctx: FigureContext) -> Dict[str, Any]:
     counts = sorted(maes)
     return {
         "headline": (
-            f"dominant offline step: {dominant['step']} "
-            f"({dominant['runtime_s']:.2f} s of {report.total_runtime_seconds:.2f} s)"
+            f"create_forecast_training_data takes {training_data_share:.0%} of the "
+            f"offline phase (paper: 83%); dominant step: {dominant['step']} "
+            f"({dominant['runtime_s']:.2f} s of {total_seconds:.2f} s)"
         ),
         "steps": steps,
         "forecast_validation_mae": round(float(report.forecast_validation_mae), 4),
@@ -825,8 +832,8 @@ def _run_fig18(ctx: FigureContext) -> Dict[str, Any]:
         "checks": [
             check(
                 "offline_phase_ran",
-                report.total_runtime_seconds > 0,
-                f"total {report.total_runtime_seconds:.2f} s",
+                total_seconds > 0,
+                f"total {total_seconds:.2f} s",
             ),
             check(
                 "forecast_training_step_present",

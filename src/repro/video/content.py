@@ -80,7 +80,7 @@ class ContentState:
         motion: average object speed, normalized to [0, 1]; fast motion makes
             sparse frame sampling lossier.
         activity: combined difficulty scalar in [0, 1] used by the
-            cheaper-is-riskier quality model of the simulated UDFs.
+            workloads' cheaper-is-riskier quality models.
         stream_load: fraction of the maximum number of concurrent streams
             currently active (only meaningful for multi-stream workloads).
     """

@@ -1,73 +1,17 @@
-"""Frames, synthetic objects, and video segments.
+"""Video segments, the unit Skyscraper reasons about.
 
-A :class:`VideoSegment` is the unit Skyscraper reasons about: a few seconds of
-successive frames (Section 2.1).  Segments carry their content state and can
-lazily materialize individual synthetic frames with object annotations; the
-long-running benchmarks operate on segments directly while the examples and
-unit tests exercise the frame-level view.
+A :class:`VideoSegment` is a few seconds of successive frames (Section 2.1).
+It carries the segment's aggregate content state, its encoded size and its
+ground-truth object count; the workloads' cost and quality models read those,
+and no frame is ever materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.video.content import ContentState
-
-
-@dataclass(frozen=True)
-class SyntheticObject:
-    """A synthetic object visible in a frame.
-
-    Attributes:
-        object_id: stable identifier across frames of the same segment, which
-            lets the simulated tracker count correctly tracked objects.
-        category: semantic class, e.g. ``"person"``, ``"car"``, ``"ev"``.
-        bbox: ``(x, y, width, height)`` in pixels.
-        occluded: whether the object overlaps another object.
-        size: relative on-screen size in (0, 1]; small objects need tiling to
-            be detected reliably (the paper's tiling knob).
-        speed: normalized motion speed in [0, 1].
-    """
-
-    object_id: int
-    category: str
-    bbox: Tuple[float, float, float, float]
-    occluded: bool
-    size: float
-    speed: float
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A single decoded video frame.
-
-    Attributes:
-        index: frame index within the stream.
-        timestamp: absolute stream time of the frame in seconds.
-        width: frame width in pixels.
-        height: frame height in pixels.
-        objects: synthetic ground-truth objects visible in the frame.
-        encoded_bytes: size of the encoded (H.264) representation.
-    """
-
-    index: int
-    timestamp: float
-    width: int
-    height: int
-    objects: Tuple[SyntheticObject, ...]
-    encoded_bytes: int
-
-    @property
-    def resolution(self) -> Tuple[int, int]:
-        return (self.width, self.height)
-
-    @property
-    def pixel_count(self) -> int:
-        return self.width * self.height
 
 
 @dataclass
@@ -115,56 +59,6 @@ class VideoSegment:
     def frame_count(self) -> int:
         """Number of frames produced by the source during the segment."""
         return max(int(round(self.duration * self.frame_rate)), 1)
-
-    @property
-    def bytes_per_frame(self) -> float:
-        return self.encoded_bytes / self.frame_count
-
-    def frames(self, seed: Optional[int] = None) -> Iterator[Frame]:
-        """Lazily materialize synthetic frames with object annotations.
-
-        Frame contents are deterministic given the segment and ``seed``: the
-        number of objects follows the segment's object density, object
-        positions drift with the motion level, and a content-dependent
-        fraction of objects is flagged as occluded.
-        """
-        rng = np.random.default_rng(
-            seed if seed is not None else (self.segment_index * 2_654_435_761) & 0xFFFFFFFF
-        )
-        n_objects = self.ground_truth_objects
-        positions = rng.uniform(0.05, 0.85, size=(n_objects, 2))
-        sizes = rng.uniform(0.02, 0.12, size=n_objects) * (0.6 + 0.4 * self.content.lighting)
-        speeds = rng.uniform(0.2, 1.0, size=n_objects) * (0.4 + 0.6 * self.content.motion)
-        occluded_flags = rng.uniform(size=n_objects) < self.content.occlusion
-        categories = rng.choice(["person", "car", "ev"], size=n_objects, p=[0.6, 0.3, 0.1])
-
-        for frame_offset in range(self.frame_count):
-            timestamp = self.start_time + frame_offset / self.frame_rate
-            objects: List[SyntheticObject] = []
-            for obj_index in range(n_objects):
-                drift = speeds[obj_index] * frame_offset / max(self.frame_count, 1) * 0.1
-                x = (positions[obj_index, 0] + drift) % 0.9
-                y = positions[obj_index, 1]
-                width = sizes[obj_index] * self.width
-                height = sizes[obj_index] * self.height * 1.6
-                objects.append(
-                    SyntheticObject(
-                        object_id=self.segment_index * 10_000 + obj_index,
-                        category=str(categories[obj_index]),
-                        bbox=(x * self.width, y * self.height, width, height),
-                        occluded=bool(occluded_flags[obj_index]),
-                        size=float(sizes[obj_index]),
-                        speed=float(speeds[obj_index]),
-                    )
-                )
-            yield Frame(
-                index=self.segment_index * self.frame_count + frame_offset,
-                timestamp=timestamp,
-                width=self.width,
-                height=self.height,
-                objects=tuple(objects),
-                encoded_bytes=int(self.bytes_per_frame),
-            )
 
     def describe(self) -> str:
         """One-line human readable summary used by examples and logs."""

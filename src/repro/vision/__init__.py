@@ -7,40 +7,34 @@ behaviour does not depend on their absolute accuracy — it depends on the
 robust on difficult content, cheap configurations are fast but fail when
 occlusion is high, lighting is poor, objects are small, or motion is fast.
 
-Each simulated operator therefore exposes two things:
-
-* a **cost model**: core-seconds per invocation on premises, cloud round-trip
-  time, cloud dollars and payload bytes, parameterized by the knobs (tiling,
-  model size, resolution), matching the magnitudes reported in the paper
-  (e.g. YOLOv5 ≈ 86 ms per HD inference on a Xeon core, Appendix K.2);
-* a **quality model**: detection recall / tracking success / classification
-  accuracy as an explicit, documented function of the knobs and the segment's
-  content difficulty.
+Each simulated operator therefore exposes a **cost model**: core-seconds per
+invocation on premises, cloud round-trip time, cloud dollars and payload
+bytes, parameterized by the knobs (tiling, model size, resolution), matching
+the magnitudes reported in the paper (e.g. YOLOv5 ≈ 86 ms per HD inference on
+a Xeon core, Appendix K.2).  The workloads own quality: each workload's
+``evaluate`` models what its job reports for a (configuration, segment), as a
+function of the knobs and the segment's content difficulty.
 """
 
-from repro.vision.udf import OperatorCost, UdfOutput, VisionOperator
+from repro.vision.udf import OperatorCost, VisionOperator
 from repro.vision.model_zoo import ModelVariant, MODEL_ZOO, get_model_variant
-from repro.vision.detector import SimulatedObjectDetector, DetectionResult
-from repro.vision.tracker import SimulatedTracker, SimulatedTransMOT, TrackingResult
-from repro.vision.classifier import SimulatedClassifier, ClassificationResult
+from repro.vision.detector import SimulatedObjectDetector
+from repro.vision.tracker import SimulatedTracker, SimulatedTransMOT
+from repro.vision.classifier import SimulatedClassifier
 from repro.vision.homography import HomographyDistance
 from repro.vision.embedding import SimulatedEmbedder
 from repro.vision.dag import Task, TaskGraph
 
 __all__ = [
     "OperatorCost",
-    "UdfOutput",
     "VisionOperator",
     "ModelVariant",
     "MODEL_ZOO",
     "get_model_variant",
     "SimulatedObjectDetector",
-    "DetectionResult",
     "SimulatedTracker",
     "SimulatedTransMOT",
-    "TrackingResult",
     "SimulatedClassifier",
-    "ClassificationResult",
     "HomographyDistance",
     "SimulatedEmbedder",
     "Task",

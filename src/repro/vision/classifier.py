@@ -3,67 +3,32 @@
 The COVID workload classifies whether detected pedestrians wear masks
 (ResNet-50 backbone fine-tuned on MaskedFace-Net); the MOSEI workload
 classifies the opinion sentiment of a speaker from audio, transcript, and
-visual features.  Both are modelled as classifiers whose accuracy depends on
-the model size and on how much of the available evidence (frames per
-sentence, lighting) the chosen knob configuration looks at.
+visual features.  Both are modelled by their cost, which depends on the model
+size and on how many items are classified; their accuracy is part of the
+quality model of the workload that uses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.video.content import ContentState
 from repro.vision.model_zoo import get_model_variant
-from repro.vision.udf import OperatorCost, VisionOperator, clip01
+from repro.vision.udf import OperatorCost, VisionOperator
 
 _CLOUD_DOLLARS_PER_SECOND = 3.0 * 0.0000166667
 _CLOUD_ROUND_TRIP_BASE = 0.12
 
 
-@dataclass
-class ClassificationResult:
-    """Outcome of running a classifier over one unit of content.
-
-    Attributes:
-        items: number of classified items (pedestrians, sentences).
-        correct: expected number of correct labels (ground truth; evaluation
-            only).
-        accuracy: ``correct / items``.
-        reported_certainty: the model's average reported certainty — the
-            observable quality signal (Section 5.2 uses certainty as an
-            accuracy proxy, citing [55, 63]).
-    """
-
-    items: int
-    correct: float
-    accuracy: float
-    reported_certainty: float
-
-
 class SimulatedClassifier(VisionOperator):
-    """A classifier with a model-size knob and an evidence-fraction knob.
+    """A classifier with a model-size knob.
 
     Args:
         family: model family in the zoo (``"mask_classifier"`` or
             ``"sentiment"``).
-        evidence_weight: how strongly looking at less evidence (fewer frames
-            per sentence, skipped sentences) hurts accuracy.
     """
 
-    def __init__(
-        self,
-        family: str,
-        evidence_weight: float = 0.3,
-        seed: int = 0,
-        noise_level: float = 0.02,
-    ):
-        super().__init__(name=f"{family}-classifier", noise_level=noise_level)
+    def __init__(self, family: str):
+        super().__init__(name=f"{family}-classifier")
         self.family = family
-        self.evidence_weight = evidence_weight
-        self._rng = np.random.default_rng(seed)
 
     def invocation_cost(self, model_size: str = "medium", items: int = 1) -> OperatorCost:
         """Cost of classifying ``items`` items with the chosen model size."""
@@ -78,44 +43,4 @@ class SimulatedClassifier(VisionOperator):
             cloud_dollars=cloud_compute * _CLOUD_DOLLARS_PER_SECOND,
             upload_bytes=int(60_000 * max(items, 1)),
             download_bytes=1_024,
-        )
-
-    def classify(
-        self,
-        content: ContentState,
-        items: int,
-        model_size: str = "medium",
-        evidence_fraction: float = 1.0,
-    ) -> ClassificationResult:
-        """Classify ``items`` items given content difficulty and knobs.
-
-        Args:
-            content: content state of the segment.
-            items: number of items to classify.
-            model_size: model variant name.
-            evidence_fraction: fraction of available evidence inspected
-                (frame rate within a sentence, fraction of sentences kept).
-        """
-        if items < 0:
-            raise ConfigurationError("items must be non-negative")
-        if not 0.0 < evidence_fraction <= 1.0:
-            raise ConfigurationError("evidence_fraction must be in (0, 1]")
-        variant = get_model_variant(self.family, model_size)
-        difficulty = clip01(
-            0.45 * content.occlusion
-            + 0.35 * (1.0 - content.lighting)
-            + 0.25 * content.motion
-        )
-        base = variant.accuracy(difficulty)
-        evidence_loss = self.evidence_weight * (1.0 - evidence_fraction)
-        accuracy = clip01(base - evidence_loss + self._rng.normal(0.0, self.noise_level))
-        correct = accuracy * items
-        certainty = clip01(
-            0.25 + 0.7 * accuracy + self._rng.normal(0.0, self.noise_level / 2.0)
-        )
-        return ClassificationResult(
-            items=items,
-            correct=correct,
-            accuracy=accuracy,
-            reported_certainty=certainty,
         )

@@ -8,15 +8,11 @@ recovers small objects, larger models recover occlusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.video.codec import H264SizeModel
 from repro.video.content import ContentState
-from repro.video.frame import Frame, SyntheticObject
 from repro.vision.model_zoo import get_model_variant
 from repro.vision.udf import OperatorCost, VisionOperator, clip01
 
@@ -26,44 +22,28 @@ _CLOUD_DOLLARS_PER_SECOND = 3.0 * 0.0000166667
 _CLOUD_ROUND_TRIP_BASE = 0.12  # network round trip + invocation overhead (s)
 
 
-@dataclass
-class DetectionResult:
-    """Outcome of running the detector on one frame or one segment.
-
-    Attributes:
-        detections: number of objects reported by the detector.
-        true_positives: detections matching a ground-truth object.
-        recall: fraction of ground-truth objects that were detected.
-        mean_confidence: average reported confidence of the detections — the
-            observable quality signal the knob switcher relies on.
-    """
-
-    detections: int
-    true_positives: int
-    recall: float
-    mean_confidence: float
-
-
 class SimulatedObjectDetector(VisionOperator):
     """A YOLO-like detector with tiling and model-size knobs.
 
     Args:
         family: model family in the :mod:`model_zoo` (default ``"yolo"``).
         size_model: payload-size model for cloud offloading.
-        seed: RNG seed for the per-frame sampling noise.
+        noise_level: standard deviation of the recall noise a workload adds
+            to :meth:`detection_recall` (COVID's detector confidence).
     """
 
     def __init__(
         self,
         family: str = "yolo",
         size_model: Optional[H264SizeModel] = None,
-        seed: int = 0,
         noise_level: float = 0.02,
     ):
-        super().__init__(name=f"{family}-detector", noise_level=noise_level)
+        super().__init__(name=f"{family}-detector")
+        if noise_level < 0:
+            raise ConfigurationError("noise_level must be non-negative")
         self.family = family
         self.size_model = size_model or H264SizeModel()
-        self._rng = np.random.default_rng(seed)
+        self.noise_level = noise_level
 
     # ------------------------------------------------------------------ #
     # Cost model
@@ -94,7 +74,7 @@ class SimulatedObjectDetector(VisionOperator):
         )
 
     # ------------------------------------------------------------------ #
-    # Quality model
+    # Recall model (COVID's detector confidence reads it)
     # ------------------------------------------------------------------ #
     def detection_recall(
         self,
@@ -132,58 +112,3 @@ class SimulatedObjectDetector(VisionOperator):
         # missed when few frames are sampled, proportional to motion.
         sampling_loss = (1.0 - sampling_fraction) * 0.35 * content.motion
         return clip01(base - tiling_loss + tiling_gain - sampling_loss)
-
-    def detect_segment(
-        self,
-        content: ContentState,
-        ground_truth_objects: int,
-        model_size: str = "medium",
-        tiles: int = 1,
-        sampling_fraction: float = 1.0,
-    ) -> DetectionResult:
-        """Aggregate detection outcome over a segment."""
-        recall = self.detection_recall(content, model_size, tiles, sampling_fraction)
-        noisy_recall = clip01(recall + self._rng.normal(0.0, self.noise_level))
-        true_positives = int(round(ground_truth_objects * noisy_recall))
-        variant = get_model_variant(self.family, model_size)
-        # YOLO has a low false-positive rate (Section 5.2), slightly worse in
-        # the dark and for the small variant.
-        false_positives = int(
-            round(ground_truth_objects * 0.05 * (1.0 - variant.base_accuracy + 0.2)
-                  * (1.5 - content.lighting))
-        )
-        detections = true_positives + false_positives
-        confidence = clip01(
-            0.35 + 0.6 * noisy_recall + self._rng.normal(0.0, self.noise_level / 2.0)
-        )
-        return DetectionResult(
-            detections=detections,
-            true_positives=true_positives,
-            recall=noisy_recall,
-            mean_confidence=confidence,
-        )
-
-    def detect_frame(
-        self,
-        frame: Frame,
-        model_size: str = "medium",
-        tiles: int = 1,
-    ) -> List[SyntheticObject]:
-        """Frame-level detection used by examples and unit tests.
-
-        Returns the subset of the frame's ground-truth objects the detector
-        finds under the given knob settings.
-        """
-        detected: List[SyntheticObject] = []
-        variant = get_model_variant(self.family, model_size)
-        for obj in frame.objects:
-            difficulty = 0.0
-            if obj.occluded:
-                difficulty += 0.55
-            difficulty += 0.3 * (1.0 - min(obj.size / 0.06, 1.0))  # small objects
-            probability = variant.accuracy(clip01(difficulty))
-            if obj.size < 0.04 and tiles == 1:
-                probability *= 0.5
-            if self._rng.uniform() < probability:
-                detected.append(obj)
-        return detected

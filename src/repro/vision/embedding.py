@@ -3,15 +3,11 @@
 TransMOT consumes per-object appearance embeddings produced by an off-the-shelf
 image model (Section J), and the MOSEI pipeline extracts face embeddings,
 GloVe word vectors and acoustic features before the sentiment classifier runs.
-The embedder is modelled as a fixed-cost-per-item operator producing a
-deterministic low-dimensional vector; downstream operators only care about its
-cost and payload size.
+The embedder is modelled as a fixed-cost-per-item operator; downstream
+operators only care about its cost and payload size.
 """
 
 from __future__ import annotations
-
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.vision.udf import OperatorCost, VisionOperator
@@ -21,7 +17,7 @@ _CLOUD_ROUND_TRIP_BASE = 0.12
 
 
 class SimulatedEmbedder(VisionOperator):
-    """Produces fixed-size feature vectors for detected objects or audio chunks.
+    """Embeds detected objects or audio chunks into fixed-size feature vectors.
 
     Args:
         name: operator name (e.g. ``"vgg-embedder"``, ``"audio-features"``).
@@ -36,9 +32,8 @@ class SimulatedEmbedder(VisionOperator):
         seconds_per_item: float = 0.010,
         dimension: int = 128,
         cloud_speedup: float = 1.6,
-        seed: int = 0,
     ):
-        super().__init__(name=name, noise_level=0.0)
+        super().__init__(name=name)
         if seconds_per_item <= 0:
             raise ConfigurationError("seconds_per_item must be positive")
         if dimension < 1:
@@ -48,7 +43,6 @@ class SimulatedEmbedder(VisionOperator):
         self.seconds_per_item = seconds_per_item
         self.dimension = dimension
         self.cloud_speedup = cloud_speedup
-        self._rng = np.random.default_rng(seed)
 
     def invocation_cost(self, items: int = 1) -> OperatorCost:
         if items < 0:
@@ -62,14 +56,3 @@ class SimulatedEmbedder(VisionOperator):
             upload_bytes=40_000 * max(items, 1),
             download_bytes=4 * self.dimension * max(items, 1),
         )
-
-    def embed(self, item_id: int) -> np.ndarray:
-        """Deterministic embedding of an item (keyed by its identifier)."""
-        rng = np.random.default_rng((item_id * 1_000_003 + 17) & 0xFFFFFFFF)
-        vector = rng.normal(0.0, 1.0, size=self.dimension)
-        norm = np.linalg.norm(vector)
-        return vector / norm if norm > 0 else vector
-
-    def similarity(self, first_id: int, second_id: int) -> float:
-        """Cosine similarity of two item embeddings."""
-        return float(np.dot(self.embed(first_id), self.embed(second_id)))

@@ -2,17 +2,11 @@
 
 The COVID workload maps every detected pedestrian's image position onto the
 ground plane with a homography [18] and measures pairwise distances.  This is
-a cheap geometric computation; its cost scales with the number of detections
-and its output feeds the social-distancing statistics loaded into the
-warehouse.
+a cheap geometric computation whose cost scales with the number of
+detections.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.vision.udf import OperatorCost, VisionOperator
@@ -21,46 +15,15 @@ _CLOUD_DOLLARS_PER_SECOND = 3.0 * 0.0000166667
 _CLOUD_ROUND_TRIP_BASE = 0.12
 
 
-@dataclass(frozen=True)
-class DistanceViolation:
-    """A pair of pedestrians closer than the social-distance threshold."""
-
-    first_object: int
-    second_object: int
-    distance_meters: float
-
-
 class HomographyDistance(VisionOperator):
     """Plane-measuring device: image coordinates → ground-plane distances.
 
-    Args:
-        homography: 3x3 matrix mapping homogeneous image coordinates to
-            ground-plane coordinates in meters; the default corresponds to a
-            camera roughly 8 m above a street looking down at ~40 degrees.
-        threshold_meters: distance below which a pair counts as a violation.
+    Only its cost is modelled: linear in the number of detected objects, plus
+    a small quadratic term for the pair checks.
     """
 
-    def __init__(
-        self,
-        homography: np.ndarray = None,
-        threshold_meters: float = 2.0,
-    ):
-        super().__init__(name="homography-distance", noise_level=0.0)
-        if homography is None:
-            homography = np.array(
-                [
-                    [0.012, 0.0, -7.5],
-                    [0.0, 0.045, -12.0],
-                    [0.0, 0.0015, 1.0],
-                ]
-            )
-        homography = np.asarray(homography, dtype=float)
-        if homography.shape != (3, 3):
-            raise ConfigurationError("homography must be a 3x3 matrix")
-        if threshold_meters <= 0:
-            raise ConfigurationError("threshold_meters must be positive")
-        self.homography = homography
-        self.threshold_meters = threshold_meters
+    def __init__(self):
+        super().__init__(name="homography-distance")
         #: single-core seconds per detected object (projection + pair checks)
         self.seconds_per_object = 0.00008
 
@@ -76,34 +39,3 @@ class HomographyDistance(VisionOperator):
             upload_bytes=256 * max(objects, 1),
             download_bytes=256,
         )
-
-    def project(self, image_points: Sequence[Tuple[float, float]]) -> np.ndarray:
-        """Map image pixel coordinates to ground-plane coordinates in meters."""
-        points = np.asarray(image_points, dtype=float)
-        if points.size == 0:
-            return np.zeros((0, 2))
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ConfigurationError("image_points must be an (n, 2) array")
-        homogeneous = np.hstack([points, np.ones((points.shape[0], 1))])
-        mapped = homogeneous @ self.homography.T
-        scale = mapped[:, 2:3]
-        scale = np.where(np.abs(scale) < 1e-9, 1e-9, scale)
-        return mapped[:, :2] / scale
-
-    def violations(
-        self, image_points: Sequence[Tuple[float, float]]
-    ) -> List[DistanceViolation]:
-        """Pairs of points closer than the threshold on the ground plane."""
-        ground = self.project(image_points)
-        result: List[DistanceViolation] = []
-        for i in range(ground.shape[0]):
-            for j in range(i + 1, ground.shape[0]):
-                distance = float(np.linalg.norm(ground[i] - ground[j]))
-                if distance < self.threshold_meters:
-                    result.append(
-                        DistanceViolation(first_object=i, second_object=j, distance_meters=distance)
-                    )
-        return result
-
-    def violation_count(self, image_points: Sequence[Tuple[float, float]]) -> int:
-        return len(self.violations(image_points))

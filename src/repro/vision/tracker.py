@@ -1,58 +1,28 @@
-"""Simulated object trackers (KCF-like and TransMOT-like).
+"""Simulated object trackers (KCF-like and TransMOT-like): cost models.
 
 In the detect-to-track pattern (COVID workload) a cheap tracker follows the
-objects found by the detector on intermediary frames; running the detector
-less often saves work but loses objects that enter the scene between detector
-invocations, and fast motion or occlusions break tracks.  KCF trackers report
-tracking failures, which is exactly the observable quality metric the paper's
-COVID workload feeds to Skyscraper.
-
-The TransMOT-style tracker used by the MOT workload additionally has a model
-size and a history-length knob: more history makes the tracker robust to
-occlusions at a higher cost (Section J).
+objects found by the detector on intermediary frames, at a cost per object
+and frame.  The TransMOT-style tracker used by the MOT workload additionally
+has a model size and a history-length knob: more history makes the tracker
+robust to occlusions at a higher cost (Section J).  How well each tracker
+tracks is part of the quality model of the workload that uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.video.content import ContentState
 from repro.vision.model_zoo import get_model_variant
-from repro.vision.udf import OperatorCost, VisionOperator, clip01
+from repro.vision.udf import OperatorCost, VisionOperator
 
 _CLOUD_DOLLARS_PER_SECOND = 3.0 * 0.0000166667
 _CLOUD_ROUND_TRIP_BASE = 0.12
 
 
-@dataclass
-class TrackingResult:
-    """Outcome of tracking over one segment.
-
-    Attributes:
-        tracked_objects: number of ground-truth objects correctly tracked
-            across the segment.
-        reported_failures: number of track losses the tracker itself reports
-            (KCF reliably reports failures, Section 5.2).
-        success_rate: fraction of detected objects tracked through the
-            segment (ground truth, for evaluation only).
-        reported_quality: the tracker's own quality signal in [0, 1].
-    """
-
-    tracked_objects: int
-    reported_failures: int
-    success_rate: float
-    reported_quality: float
-
-
 class SimulatedTracker(VisionOperator):
     """A KCF-like single-object tracker (cheap, per-object cost)."""
 
-    def __init__(self, seed: int = 0, noise_level: float = 0.02):
-        super().__init__(name="kcf-tracker", noise_level=noise_level)
-        self._rng = np.random.default_rng(seed)
+    def __init__(self):
+        super().__init__(name="kcf-tracker")
         #: single-core seconds to track one object in one frame
         self.seconds_per_object_frame = 0.0016
 
@@ -70,54 +40,12 @@ class SimulatedTracker(VisionOperator):
             download_bytes=2_048,
         )
 
-    def track_segment(
-        self,
-        content: ContentState,
-        detected_objects: int,
-        detection_interval_frames: int,
-        processed_frame_rate: float,
-        native_frame_rate: float = 30.0,
-    ) -> TrackingResult:
-        """Track the detected objects through a segment.
-
-        Track losses grow with occlusion, with motion, with how rarely the
-        detector re-initializes tracks (``detection_interval_frames``), and
-        with how few frames are processed (``processed_frame_rate``).
-        """
-        if detection_interval_frames < 1:
-            raise ConfigurationError("detection_interval_frames must be >= 1")
-        if processed_frame_rate <= 0 or native_frame_rate <= 0:
-            raise ConfigurationError("frame rates must be positive")
-        frame_gap = min(processed_frame_rate / native_frame_rate, 1.0)
-        loss_probability = clip01(
-            0.10
-            + 0.45 * content.occlusion
-            + 0.25 * content.motion * (1.0 - frame_gap)
-            + 0.015 * (detection_interval_frames - 1) / 10.0
-        )
-        success_rate = clip01(1.0 - loss_probability + self._rng.normal(0.0, self.noise_level))
-        tracked = int(round(detected_objects * success_rate))
-        failures = max(detected_objects - tracked, 0)
-        # KCF reports ~90% of its failures; the remainder is silent drift.
-        reported_failures = int(round(failures * 0.9))
-        reported_quality = clip01(
-            1.0 - reported_failures / max(detected_objects, 1)
-            + self._rng.normal(0.0, self.noise_level / 2.0)
-        )
-        return TrackingResult(
-            tracked_objects=tracked,
-            reported_failures=reported_failures,
-            success_rate=success_rate,
-            reported_quality=reported_quality,
-        )
-
 
 class SimulatedTransMOT(VisionOperator):
     """A TransMOT-like graph-transformer tracker with size and history knobs."""
 
-    def __init__(self, seed: int = 0, noise_level: float = 0.02):
-        super().__init__(name="transmot", noise_level=noise_level)
-        self._rng = np.random.default_rng(seed)
+    def __init__(self):
+        super().__init__(name="transmot")
 
     def invocation_cost(
         self,
@@ -143,42 +71,4 @@ class SimulatedTransMOT(VisionOperator):
             cloud_dollars=cloud_compute * _CLOUD_DOLLARS_PER_SECOND,
             upload_bytes=int(170_000 * tiles + 30_000 * history),
             download_bytes=8_192,
-        )
-
-    def track_segment(
-        self,
-        content: ContentState,
-        ground_truth_objects: int,
-        model_size: str = "medium",
-        history: int = 1,
-        tiles: int = 1,
-        sampling_fraction: float = 1.0,
-    ) -> TrackingResult:
-        """Track all objects in a segment with the TransMOT-style model.
-
-        History absorbs occlusions (a track interrupted by an occlusion can be
-        re-associated when more past frames are considered), tiling recovers
-        small objects, and sparse sampling loses fast-moving objects.
-        """
-        if not 0.0 < sampling_fraction <= 1.0:
-            raise ConfigurationError("sampling_fraction must be in (0, 1]")
-        variant = get_model_variant("transmot", model_size)
-        history_relief = min((history - 1) * 0.12, 0.4)
-        difficulty = clip01(
-            0.7 * content.occlusion * (1.0 - history_relief)
-            + 0.2 * (1.0 - content.lighting)
-            + 0.15 * content.motion * (1.0 - sampling_fraction)
-        )
-        base = variant.accuracy(difficulty)
-        small_fraction = 0.2 * content.object_density
-        tiling_adjustment = -small_fraction if tiles == 1 else -small_fraction / tiles
-        success_rate = clip01(base + tiling_adjustment + self._rng.normal(0.0, self.noise_level))
-        tracked = int(round(ground_truth_objects * success_rate))
-        # The model reports a per-track certainty correlated with success.
-        certainty = clip01(0.3 + 0.65 * success_rate + self._rng.normal(0.0, self.noise_level / 2))
-        return TrackingResult(
-            tracked_objects=tracked,
-            reported_failures=max(ground_truth_objects - tracked, 0),
-            success_rate=success_rate,
-            reported_quality=certainty,
         )

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -49,44 +48,18 @@ class OperatorCost:
         )
 
 
-@dataclass
-class UdfOutput:
-    """Generic result of running an operator over a segment.
-
-    Attributes:
-        operator: name of the operator that produced the output.
-        entities: number of entities extracted (detections, tracks, labels).
-        quality: the operator's own reported quality metric in [0, 1]
-            (certainty, tracking success rate, ...) — this is what the user
-            code returns to Skyscraper and what the knob switcher observes.
-        true_quality: ground-truth quality in [0, 1]; only the evaluation
-            harness may look at this, never the system itself.
-        details: operator-specific extras (e.g. per-class counts).
-    """
-
-    operator: str
-    entities: float
-    quality: float
-    true_quality: float
-    details: Dict[str, float] = field(default_factory=dict)
-
-
 class VisionOperator:
     """Base class for simulated CV operators.
 
-    Subclasses implement :meth:`invocation_cost` (resource cost of one
-    invocation under the given knob settings) and whatever domain-specific
-    quality methods they need.  The base class stores the operator name and a
-    deterministic noise scale so repeated profiling runs agree.
+    Subclasses implement :meth:`invocation_cost`, the resource cost of one
+    invocation under the given knob settings.  The base class stores the
+    operator name.
     """
 
-    def __init__(self, name: str, noise_level: float = 0.02):
+    def __init__(self, name: str):
         if not name:
             raise ConfigurationError("operator name must be non-empty")
-        if noise_level < 0:
-            raise ConfigurationError("noise_level must be non-negative")
         self.name = name
-        self.noise_level = noise_level
 
     def invocation_cost(self, **knobs) -> OperatorCost:
         raise NotImplementedError

@@ -13,8 +13,8 @@ class VideoWarehouse:
     """A collection of named tables holding extracted video entities.
 
     The warehouse ships with factory methods for the standard V-ETL schemas
-    used by the example workloads (detections, tracks, sentiment labels,
-    distance violations), but arbitrary tables can be created as well.
+    used by the example workloads (detections, tracks, sentiment labels), but
+    arbitrary tables can be created as well.
     """
 
     def __init__(self):
@@ -92,18 +92,5 @@ class VideoWarehouse:
                 Column("timestamp", float),
                 Column("sentiment", str),
                 Column("certainty", float),
-            ],
-        )
-
-    def create_violations_table(self, name: str = "distance_violations") -> Table:
-        """Table of social-distancing violations (COVID workload)."""
-        return self.create_table(
-            name,
-            [
-                Column("camera_id", str),
-                Column("segment_index", int),
-                Column("timestamp", float),
-                Column("violations", int),
-                Column("pedestrians", int),
             ],
         )

@@ -88,9 +88,9 @@ class CovidWorkload(BaseWorkload):
             or StreamConfig(stream_id="covid-shibuya", segment_seconds=2.0),
         )
         self.seed = seed
-        self.detector = SimulatedObjectDetector(family="yolo", seed=seed)
-        self.tracker = SimulatedTracker(seed=seed)
-        self.mask_classifier = SimulatedClassifier(family="mask_classifier", seed=seed)
+        self.detector = SimulatedObjectDetector(family="yolo")
+        self.tracker = SimulatedTracker()
+        self.mask_classifier = SimulatedClassifier(family="mask_classifier")
         self.homography = HomographyDistance()
         self.decode = DecodeCostModel()
 
@@ -241,10 +241,9 @@ class CovidWorkload(BaseWorkload):
     ) -> float:
         """Mean detector confidence on ``segment``: its recall plus hashed noise.
 
-        The detector's own ``detect_segment`` draws its noise from a stateful
-        generator, which would make a row depend on how many segments were
-        detected before it; the workload's hashed noise keeps the row a
-        function of (configuration, segment).
+        The noise is hashed rather than drawn from a stateful generator, which
+        would make a row depend on how many segments were detected before it;
+        hashed noise keeps the row a function of (configuration, segment).
         """
         frame_rate = float(configuration["frame_rate"])
         tiles_per_side = int(configuration["tiles"])

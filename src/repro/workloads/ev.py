@@ -79,8 +79,8 @@ class EVCountingWorkload(BaseWorkload):
             or StreamConfig(stream_id="ev-traffic-cam", segment_seconds=2.0),
         )
         self.seed = seed
-        self.detector = SimulatedObjectDetector(family="yolo", seed=seed)
-        self.tracker = SimulatedTracker(seed=seed)
+        self.detector = SimulatedObjectDetector(family="yolo")
+        self.tracker = SimulatedTracker()
         self.decode = DecodeCostModel()
 
     # ------------------------------------------------------------------ #

@@ -109,12 +109,10 @@ class MoseiWorkload(BaseWorkload):
             ),
         )
         self.seed = seed
-        self.sentiment = SimulatedClassifier(family="sentiment", seed=seed)
-        self.face_embedder = SimulatedEmbedder(
-            name="face-embedder", seconds_per_item=0.012, seed=seed
-        )
+        self.sentiment = SimulatedClassifier(family="sentiment")
+        self.face_embedder = SimulatedEmbedder(name="face-embedder", seconds_per_item=0.012)
         self.audio_features = SimulatedEmbedder(
-            name="audio-features", seconds_per_item=0.02, dimension=32, seed=seed + 1
+            name="audio-features", seconds_per_item=0.02, dimension=32
         )
 
     # ------------------------------------------------------------------ #

@@ -73,8 +73,8 @@ class MotWorkload(BaseWorkload):
             or StreamConfig(stream_id="mot-shibuya", segment_seconds=2.0),
         )
         self.seed = seed
-        self.tracker = SimulatedTransMOT(seed=seed)
-        self.embedder = SimulatedEmbedder(name="vgg-embedder", seconds_per_item=0.008, seed=seed)
+        self.tracker = SimulatedTransMOT()
+        self.embedder = SimulatedEmbedder(name="vgg-embedder", seconds_per_item=0.008)
         self.decode = DecodeCostModel()
 
     # ------------------------------------------------------------------ #

@@ -38,18 +38,6 @@ def test_segment_at_is_deterministic(source):
     assert first.content == second.content
 
 
-def test_frames_are_generated_with_objects(source):
-    segment = source.segment_at(15_000)  # mid-day, busy
-    frames = list(segment.frames(seed=1))
-    assert len(frames) == segment.frame_count
-    assert frames[0].resolution == (1280, 720)
-    assert all(len(frame.objects) == segment.ground_truth_objects for frame in frames)
-    if segment.ground_truth_objects:
-        obj = frames[0].objects[0]
-        assert 0.0 <= obj.bbox[0] <= segment.width
-        assert obj.category in ("person", "car", "ev")
-
-
 def test_busier_content_means_more_objects(source):
     night = source.segment_at(int(3 * 3600 / 2))
     rush = source.segment_at(int(8 * 3600 / 2))

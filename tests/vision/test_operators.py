@@ -1,11 +1,9 @@
-"""Tests for the simulated CV operators (detector, trackers, classifiers)."""
+"""Tests for the simulated CV operators' cost models and the model zoo."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.video.content import ContentModel
-from repro.video.stream import SyntheticVideoSource
 from repro.vision.classifier import SimulatedClassifier
 from repro.vision.detector import SimulatedObjectDetector
 from repro.vision.embedding import SimulatedEmbedder
@@ -87,29 +85,14 @@ def test_detector_recall_responds_to_content_and_knobs(night_content, rush_conte
     assert 0.0 <= hard_cheap <= 1.0
 
 
-def test_detector_segment_results_consistent(rush_content):
-    detector = SimulatedObjectDetector(seed=0)
-    result = detector.detect_segment(rush_content, ground_truth_objects=30)
-    assert 0 <= result.true_positives <= 30
-    assert result.detections >= result.true_positives
-    assert 0.0 <= result.mean_confidence <= 1.0
-
-
-def test_detector_frame_level_api(night_content):
-    source = SyntheticVideoSource(ContentModel(seed=5))
-    segment = source.segment_at(15_000)
-    frame = next(segment.frames(seed=0))
-    detector = SimulatedObjectDetector(seed=0)
-    detections = detector.detect_frame(frame, model_size="large", tiles=4)
-    assert len(detections) <= len(frame.objects)
-
-
 def test_detector_validation(rush_content):
     detector = SimulatedObjectDetector()
     with pytest.raises(ConfigurationError):
         detector.invocation_cost(tiles=0)
     with pytest.raises(ConfigurationError):
         detector.detection_recall(rush_content, sampling_fraction=0.0)
+    with pytest.raises(ConfigurationError):
+        SimulatedObjectDetector(noise_level=-0.01)
 
 
 # --------------------------------------------------------------------- #
@@ -123,24 +106,6 @@ def test_kcf_tracker_cost_scales_with_objects_and_frames():
     assert big.on_prem_seconds == pytest.approx(20 * 60 * tracker.seconds_per_object_frame)
 
 
-def test_kcf_tracking_worse_at_rush_hour(night_content, rush_content):
-    tracker = SimulatedTracker(seed=1)
-    easy = tracker.track_segment(night_content, 10, detection_interval_frames=1,
-                                 processed_frame_rate=30.0)
-    hard = tracker.track_segment(rush_content, 10, detection_interval_frames=30,
-                                 processed_frame_rate=1.0)
-    assert easy.success_rate > hard.success_rate
-    assert hard.reported_failures >= 0
-
-
-def test_transmot_history_and_size_improve_quality(rush_content):
-    tracker = SimulatedTransMOT(seed=2)
-    weak = tracker.track_segment(rush_content, 20, model_size="small", history=1)
-    strong = tracker.track_segment(rush_content, 20, model_size="large", history=5, tiles=4)
-    assert strong.success_rate > weak.success_rate
-    assert strong.tracked_objects >= weak.tracked_objects
-
-
 def test_transmot_cost_scaling():
     tracker = SimulatedTransMOT()
     cheap = tracker.invocation_cost(model_size="small", history=1, tiles=1)
@@ -151,51 +116,39 @@ def test_transmot_cost_scaling():
 
 
 # --------------------------------------------------------------------- #
-# Classifier, homography, embedder
+# Count-scaled cost models: classifier, homography, embedder, KCF tracker
 # --------------------------------------------------------------------- #
-def test_classifier_accuracy_depends_on_evidence_and_size(rush_content):
-    classifier = SimulatedClassifier(family="sentiment", seed=0)
-    weak = classifier.classify(rush_content, items=10, model_size="small", evidence_fraction=0.2)
-    strong = classifier.classify(rush_content, items=10, model_size="large", evidence_fraction=1.0)
-    assert strong.accuracy > weak.accuracy
-    assert 0.0 <= weak.reported_certainty <= 1.0
-    assert weak.items == 10
-
-
-def test_classifier_validation(rush_content):
-    classifier = SimulatedClassifier(family="mask_classifier")
+@pytest.mark.parametrize(
+    "make_operator, count_knob",
+    [
+        (SimulatedTracker, "objects"),
+        (lambda: SimulatedClassifier(family="mask_classifier"), "items"),
+        (lambda: SimulatedClassifier(family="sentiment"), "items"),
+        (SimulatedEmbedder, "items"),
+        (HomographyDistance, "objects"),
+    ],
+    ids=["kcf-tracker", "mask-classifier", "sentiment-classifier", "embedder", "homography"],
+)
+def test_cost_grows_with_count_and_rejects_negative_counts(make_operator, count_knob):
+    operator = make_operator()
+    costs = [operator.invocation_cost(**{count_knob: count}) for count in (1, 4, 16)]
+    for fewer, more in zip(costs, costs[1:]):
+        assert more.on_prem_seconds > fewer.on_prem_seconds
+        assert more.cloud_seconds > fewer.cloud_seconds
+        assert more.cloud_dollars > fewer.cloud_dollars
+        assert more.upload_bytes > fewer.upload_bytes
     with pytest.raises(ConfigurationError):
-        classifier.classify(rush_content, items=-1)
+        operator.invocation_cost(**{count_knob: -1})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"seconds_per_item": 0.0}, {"dimension": 0}, {"cloud_speedup": 0.0}],
+    ids=["seconds_per_item", "dimension", "cloud_speedup"],
+)
+def test_embedder_validation(overrides):
     with pytest.raises(ConfigurationError):
-        classifier.classify(rush_content, items=1, evidence_fraction=0.0)
-
-
-def test_homography_projects_and_counts_violations():
-    homography = HomographyDistance(threshold_meters=2.0)
-    close_pair = [(600.0, 500.0), (610.0, 502.0)]
-    far_pair = [(100.0, 300.0), (1200.0, 700.0)]
-    assert homography.violation_count(close_pair) == 1
-    assert homography.violation_count(far_pair) == 0
-    assert homography.project(close_pair).shape == (2, 2)
-    assert homography.project([]).shape == (0, 2)
-
-
-def test_homography_validation():
-    with pytest.raises(ConfigurationError):
-        HomographyDistance(homography=np.eye(2))
-    with pytest.raises(ConfigurationError):
-        HomographyDistance(threshold_meters=0.0)
-
-
-def test_embedder_is_deterministic_and_normalized():
-    embedder = SimulatedEmbedder(dimension=64)
-    first = embedder.embed(42)
-    second = embedder.embed(42)
-    other = embedder.embed(43)
-    assert np.allclose(first, second)
-    assert np.linalg.norm(first) == pytest.approx(1.0)
-    assert abs(embedder.similarity(42, 43)) < 1.0
-    assert not np.allclose(first, other)
+        SimulatedEmbedder(**overrides)
 
 
 def test_operator_cost_scaled_and_validation():
