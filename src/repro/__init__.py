@@ -20,7 +20,6 @@ The package is organized as:
 
 from repro.core.skyscraper import Skyscraper, SkyscraperResources
 from repro.core.engine import IngestionEngine, IngestionResult
-from repro.core.artifacts import OfflineArtifacts
 from repro.registry import (
     PolicySpec,
     RunContext,
@@ -54,7 +53,6 @@ __all__ = [
     "SkyscraperResources",
     "IngestionEngine",
     "IngestionResult",
-    "OfflineArtifacts",
     "PolicySpec",
     "RunContext",
     "create_policy",

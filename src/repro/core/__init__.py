@@ -59,11 +59,8 @@ from repro.core.offline import (
     profile_configurations,
 )
 from repro.core.skyscraper import Skyscraper, SkyscraperResources
-from repro.core.artifacts import ForecasterState, OfflineArtifacts
 
 __all__ = [
-    "ForecasterState",
-    "OfflineArtifacts",
     "Knob",
     "KnobConfiguration",
     "KnobSpace",

@@ -68,27 +68,16 @@ class ContentCategorizer:
         return self
 
     @classmethod
-    def from_centers(
-        cls,
-        centers: np.ndarray,
-        method: str = "kmeans",
-        seed: int = 0,
-        n_categories: Optional[int] = None,
-    ) -> "ContentCategorizer":
-        """Rebuild a fitted categorizer from saved cluster centers.
+    def from_centers(cls, centers: np.ndarray) -> "ContentCategorizer":
+        """A fitted categorizer with the given cluster centers.
 
-        Classification only needs the centers, so this restores everything a
-        serialized offline phase requires (see
-        :class:`~repro.core.artifacts.OfflineArtifacts`).
+        Classification only needs the centers, so this builds one without
+        clustering (for example, hand-made categories in a test).
         """
         center_array = np.asarray(centers, dtype=float)
         if center_array.ndim != 2 or center_array.shape[0] == 0:
             raise ConfigurationError("centers must be a non-empty 2-D array")
-        categorizer = cls(
-            n_categories=n_categories or center_array.shape[0],
-            method=method,
-            seed=seed,
-        )
+        categorizer = cls(n_categories=center_array.shape[0])
         categorizer._centers = center_array
         return categorizer
 

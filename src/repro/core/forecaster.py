@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.metrics import mean_absolute_error
-from repro.ml.mlp import MLP, MLPConfig
+from repro.ml.mlp import MLP
 
 
 @dataclass
@@ -151,38 +151,31 @@ def _histograms_into(out: np.ndarray, counts: np.ndarray) -> None:
 class ContentForecaster:
     """Feed-forward forecaster over content-category histograms.
 
+    The network is always the ``16 ReLU -> 8 ReLU -> softmax`` architecture
+    of Appendix K (:class:`~repro.ml.mlp.MLPConfig`'s defaults).
+
     Args:
         n_categories: number of content categories.
         n_splits: number of input histograms (default 8, Appendix I).
-        config: optional MLP hyperparameters; the default reproduces the
-            ``16 ReLU -> 8 ReLU -> softmax`` architecture of Appendix K.
     """
 
-    def __init__(
-        self,
-        n_categories: int,
-        n_splits: int = 8,
-        config: Optional[MLPConfig] = None,
-    ):
+    def __init__(self, n_categories: int, n_splits: int = 8):
         if n_categories < 1:
             raise ConfigurationError("n_categories must be at least 1")
         if n_splits < 1:
             raise ConfigurationError("n_splits must be at least 1")
         self.n_categories = n_categories
         self.n_splits = n_splits
-        self.config = config or MLPConfig()
         #: The look-back window the forecaster was trained on; a forecast
         #: splits the same window of recent history into its inputs.
         self.input_seconds: Optional[float] = None
-        self._network = MLP(
-            input_size=n_categories * n_splits, output_size=n_categories, config=self.config
-        )
+        self._network = MLP(input_size=n_categories * n_splits, output_size=n_categories)
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
     def fit(self, dataset: ForecastDataset):
-        """Train on a :class:`ForecastDataset` (``config.epochs`` epochs)."""
+        """Train on a :class:`ForecastDataset` (``MLPConfig.epochs`` epochs)."""
         if dataset.n_categories != self.n_categories or dataset.n_splits != self.n_splits:
             raise ConfigurationError(
                 "dataset shape does not match the forecaster "
@@ -197,7 +190,7 @@ class ContentForecaster:
         return self._network.is_fitted
 
     # ------------------------------------------------------------------ #
-    # Checkpointing (used by the serialized offline artifacts)
+    # Checkpointing (used by the stage cache's train_forecaster entry)
     # ------------------------------------------------------------------ #
     def get_parameters(self) -> List[np.ndarray]:
         """Flat copy of the network's weights and biases."""

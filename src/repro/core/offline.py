@@ -508,7 +508,6 @@ class OfflinePipeline:
         cores: on-premise cores of the provisioned machine (placement stage).
         cloud: cloud specification for placement profiling.
         n_categories: requested number of content categories.
-        categorizer_method: ``"kmeans"`` or ``"gmm"``.
         forecaster_splits: number of input histograms of the forecaster.
         planned_interval_seconds: the planner period the forecaster predicts.
         seed: base seed; stage ``k`` samples from ``default_rng((seed, k))``.
@@ -528,7 +527,6 @@ class OfflinePipeline:
         cores: int,
         cloud: Optional[CloudSpec] = None,
         n_categories: int = 4,
-        categorizer_method: str = "kmeans",
         forecaster_splits: int = 8,
         planned_interval_seconds: float = 2 * SECONDS_PER_DAY,
         seed: int = 0,
@@ -542,7 +540,6 @@ class OfflinePipeline:
         self.cores = cores
         self.cloud = cloud
         self.n_categories = n_categories
-        self.categorizer_method = categorizer_method
         self.forecaster_splits = forecaster_splits
         self.planned_interval_seconds = planned_interval_seconds
         self.seed = seed
@@ -671,10 +668,10 @@ class OfflinePipeline:
         if spec.name == "filter_configurations":
             return {"max_configurations": params.max_configurations}
         if spec.name == "content_categories":
-            # Deliberately independent of n_categories / categorizer_method:
-            # the persisted artifact is the sampled quality vectors, and the
-            # (cheap) clustering re-runs on load — so sweeping the category
-            # count never re-evaluates the history.
+            # Deliberately independent of n_categories: the persisted
+            # artifact is the sampled quality vectors, and the (cheap)
+            # clustering re-runs on load — so sweeping the category count
+            # never re-evaluates the history.
             return {
                 "n_category_samples": params.n_category_samples,
                 "unlabeled_days": params.unlabeled_days,
@@ -851,11 +848,7 @@ class OfflinePipeline:
         self._fit_categorizer(context)
 
     def _fit_categorizer(self, context: Dict[str, Any]) -> None:
-        categorizer = ContentCategorizer(
-            n_categories=self.n_categories,
-            method=self.categorizer_method,
-            seed=self.seed,
-        )
+        categorizer = ContentCategorizer(n_categories=self.n_categories, seed=self.seed)
         categorizer.fit(context["quality_vectors"])
         context["categorizer"] = categorizer
         context["profiles"].set_category_qualities(categorizer.centers.T)

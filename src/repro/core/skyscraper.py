@@ -13,9 +13,9 @@ placements, build content categories, train the forecaster) and records the
 per-step runtimes reported in Table 3.  ``ingest`` runs the online phase of
 Section 4 through the ingestion engine.
 
-The offline state is serializable: ``sky.export_artifacts().save(path)``
-writes it to disk and :meth:`~repro.core.artifacts.OfflineArtifacts.restore`
-rebuilds a fitted instance without re-running ``fit``.  Experiments compare
+A fit persists itself through ``fit(stage_cache_dir=...)``: a later fit
+with the same inputs resumes every cacheable stage from that directory, bit
+for bit (see :class:`~repro.core.offline.StageCache`).  Experiments compare
 Skyscraper against the baselines through the policy registry and the
 experiment runner::
 
@@ -129,7 +129,6 @@ class Skyscraper:
         switch_period_seconds: float = 4.0,
         planned_interval_seconds: float = 2 * SECONDS_PER_DAY,
         forecaster_splits: int = 8,
-        categorizer_method: str = "kmeans",
         cost_model: Optional[CostModel] = None,
         cloud: Optional[CloudSpec] = None,
         seed: int = 0,
@@ -140,7 +139,6 @@ class Skyscraper:
         self.switch_period_seconds = switch_period_seconds
         self.planned_interval_seconds = planned_interval_seconds
         self.forecaster_splits = forecaster_splits
-        self.categorizer_method = categorizer_method
         self.cost_model = cost_model or CostModel()
         self.cloud = resources.cloud_spec(cloud)
         self.seed = seed
@@ -195,7 +193,6 @@ class Skyscraper:
             cores=self.resources.cores,
             cloud=self.cloud,
             n_categories=self.n_categories,
-            categorizer_method=self.categorizer_method,
             forecaster_splits=self.forecaster_splits,
             planned_interval_seconds=self.planned_interval_seconds,
             seed=self.seed,
@@ -279,7 +276,6 @@ class Skyscraper:
             switch_period_seconds=self.switch_period_seconds,
             planned_interval_seconds=self.planned_interval_seconds,
             forecaster_splits=self.forecaster_splits,
-            categorizer_method=self.categorizer_method,
             cost_model=self.cost_model,
             # Base the clone's cloud spec on this instance's: custom pricing,
             # uplink and latency settings survive re-provisioning while the
@@ -318,13 +314,6 @@ class Skyscraper:
         if self.categorizer is None:
             raise NotFittedError("a fitted categorizer is required")
         profiles.set_category_qualities(self.categorizer.centers.T)
-
-    def export_artifacts(self):
-        """The offline phase's state as serializable
-        :class:`~repro.core.artifacts.OfflineArtifacts`."""
-        from repro.core.artifacts import OfflineArtifacts
-
-        return OfflineArtifacts.from_skyscraper(self)
 
     # ------------------------------------------------------------------ #
     # Online phase (Section 4)

@@ -3,13 +3,14 @@
 VideoStorm and Skyscraper (Appendix A.1) filter the exponentially large set of
 knob configurations with greedy hill climbing: starting from a configuration,
 repeatedly move to the best neighbouring configuration (one knob changed by
-one step) until no neighbour improves the objective.  Restarting from several
-seeds approximates the work-quality Pareto frontier.
+one step) until no neighbour improves the objective.  The configuration
+filter (:mod:`repro.core.filtering`) restarts the climb from several starts;
+the configurations visited approximate the work-quality Pareto frontier.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Hashable, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -88,26 +89,3 @@ def hill_climb(
 
     return current, current_score, visited
 
-
-def multi_start_hill_climb(
-    domains: Sequence[Sequence[Hashable]],
-    objective: Callable[[Configuration], float],
-    starts: Iterable[Configuration],
-    max_steps: int = 1000,
-) -> Dict[Configuration, float]:
-    """Run :func:`hill_climb` from several starting points.
-
-    Returns a mapping from every visited configuration to its objective value,
-    which the knob-configuration filter turns into a Pareto frontier.
-    """
-    scores: Dict[Configuration, float] = {}
-    for start in starts:
-        _, _, visited = hill_climb(domains, objective, start=start, max_steps=max_steps)
-        for configuration in visited:
-            if configuration not in scores:
-                scores[configuration] = objective(configuration)
-    if not scores:
-        _, _, visited = hill_climb(domains, objective, max_steps=max_steps)
-        for configuration in visited:
-            scores[configuration] = objective(configuration)
-    return scores

@@ -19,12 +19,12 @@ bit-for-bit unchanged.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.artifacts import OfflineArtifacts
 from repro.core.categorizer import ContentCategorizer
 from repro.core.filtering import configuration_work
 from repro.core.forecaster import ContentForecaster, ForecastDataset
@@ -424,6 +424,11 @@ def test_stage_cache_resumes_bit_for_bit(
     _assert_matches_reference(second, reference_fit)
     # The resumed run evaluates nothing new.
     assert second.report.evaluation_cache_misses == 0
+    # ... and ingests exactly as the cold fit does, traces included.
+    start = FIT_KWARGS["unlabeled_days"] * SECONDS_PER_DAY
+    resumed = second.ingest(covid_source, start_time=start, duration=1_800.0)
+    cold = first.ingest(covid_source, start_time=start, duration=1_800.0)
+    assert asdict(resumed) == asdict(cold)
 
 
 def test_changing_n_categories_reuses_expensive_stages(
@@ -660,17 +665,18 @@ def test_with_resources_reattaches_category_qualities(trained_skyscraper):
 # --------------------------------------------------------------------- #
 # The online forecast reads the window the forecaster was trained on
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("restored", [False, True], ids=["fitted", "restored"])
+@pytest.mark.parametrize("resumed", [False, True], ids=["fitted", "resumed"])
 def test_policy_forecasts_from_the_trained_window(
-    trained_skyscraper, covid_source, tmp_path, monkeypatch, restored
+    trained_skyscraper, covid_workload, covid_source, tmp_path, monkeypatch, resumed
 ):
     """``forecast_input_days=0.1`` trains on 8,640 s of labels, so the policy
     splits the last 8,640 s of category history into the forecaster's inputs,
-    also after export -> save -> load -> restore."""
+    also after a second fit resumes the forecaster from a warm stage cache."""
     sky = trained_skyscraper
-    if restored:
-        sky.export_artifacts().save(tmp_path)
-        sky = OfflineArtifacts.load(tmp_path).restore(sky.workload, RESOURCES)
+    if resumed:
+        _fit_skyscraper(covid_workload, covid_source, stage_cache_dir=tmp_path)
+        sky = _fit_skyscraper(covid_workload, covid_source, stage_cache_dir=tmp_path)
+        assert sky.report.stage_cache_hits["train_forecaster"]
     policy = sky.build_policy(covid_source.segment_seconds)
     assert policy.forecaster.input_seconds == 8_640.0
     # Make the forecast return its input histograms.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.core.skyscraper
+from repro.cluster.resources import CloudSpec
 from repro.core.filtering import (
     configuration_work,
     filter_knob_configurations,
@@ -115,6 +116,35 @@ def test_with_resources_on_the_fitted_hardware_reuses_placements(
     sky.with_resources(SkyscraperResources(cores=4, cloud_budget_per_day=2.0))
     sky.with_resources(SkyscraperResources(cores=sky.resources.cores))
     assert reprofiles == [4, sky.resources.cores]
+
+
+def test_with_resources_preserves_custom_cloud(covid_workload, covid_source):
+    """Re-provisioning keeps non-default cloud pricing/uplink settings."""
+    custom = CloudSpec(uplink_bytes_per_second=1_000_000.0, round_trip_seconds=0.5)
+    sky = Skyscraper(
+        covid_workload,
+        SkyscraperResources(cores=8, cloud_budget_per_day=2.0),
+        n_categories=3,
+        cloud=custom,
+    )
+    sky.fit(
+        covid_source,
+        unlabeled_days=0.25,
+        labeled_minutes=10.0,
+        n_presample_segments=30,
+        n_category_samples=40,
+        forecast_label_period_seconds=240.0,
+        max_configurations=4,
+        train_forecaster=False,
+    )
+    assert sky.cloud.uplink_bytes_per_second == 1_000_000.0
+
+    clone = sky.with_resources(
+        SkyscraperResources(cores=16, buffer_bytes=1_000_000_000, cloud_budget_per_day=3.0)
+    )
+    assert clone.cloud.uplink_bytes_per_second == 1_000_000.0
+    assert clone.cloud.round_trip_seconds == 0.5
+    assert clone.cloud.daily_budget_dollars == 3.0
 
 
 def test_budget_conversion_includes_cloud_credits(fitted_skyscraper):

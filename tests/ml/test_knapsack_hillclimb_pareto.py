@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.ml.hillclimb import hill_climb, multi_start_hill_climb, neighbours
+from repro.ml.hillclimb import hill_climb, neighbours
 from repro.ml.knapsack import KnapsackItem, greedy_knapsack
 from repro.ml.pareto import is_dominated, pareto_front, pareto_front_points
 
@@ -100,16 +100,6 @@ def test_hill_climb_finds_separable_maximum():
 def test_hill_climb_rejects_empty_domain():
     with pytest.raises(ConfigurationError):
         hill_climb([()], lambda values: 0.0)
-
-
-def test_multi_start_covers_both_corners():
-    domains = [(0, 1, 2), (0, 1, 2)]
-    scores = multi_start_hill_climb(
-        domains, lambda values: float(sum(values)), starts=[(0, 0), (2, 2)]
-    )
-    assert (0, 0) in scores
-    assert (2, 2) in scores
-    assert scores[(2, 2)] == 4.0
 
 
 # --------------------------------------------------------------------- #
