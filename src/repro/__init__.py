@@ -37,7 +37,6 @@ from repro.experiments.runner import (
 from repro.errors import (
     ReproError,
     ConfigurationError,
-    BufferOverflowError,
     BudgetExceededError,
     NotFittedError,
     PlanningError,
@@ -65,7 +64,6 @@ __all__ = [
     "prepare_bundle",
     "ReproError",
     "ConfigurationError",
-    "BufferOverflowError",
     "BudgetExceededError",
     "NotFittedError",
     "PlanningError",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol
 
-from repro.errors import ConfigurationError
 from repro.cluster.profiler import PlacementProfile
 from repro.cluster.resources import CloudSpec, ClusterSpec
 from repro.core.interfaces import SegmentOutcome, VETLWorkload
@@ -180,6 +179,11 @@ class IngestionEngine:
     :class:`~repro.core.fleet.FleetEngine`; multi-stream ingestion with
     pluggable scheduling lives there.
 
+    A segment that would overflow the buffer is dropped and recorded
+    (``overflowed``, ``overflow_count`` and a ``<dropped>`` trace) while the
+    run continues; that record is how the figures count a crash
+    (``CostQualityPoint.crashed``).
+
     Args:
         workload: the user's V-ETL job.
         source: the video source to ingest.
@@ -188,9 +192,6 @@ class IngestionEngine:
         buffer_capacity_bytes: size of the video buffer (Equation 1's ``B``).
         keep_traces: whether to record per-segment traces (needed for the
             Figure 3 style plots; disable for large sweeps to save memory).
-        on_overflow: ``"drop"`` records the overflow, drops the segment and
-            continues (how the evaluation treats Chameleon* crashes);
-            ``"raise"`` raises :class:`BufferOverflowError` immediately.
     """
 
     def __init__(
@@ -201,17 +202,13 @@ class IngestionEngine:
         cloud: Optional[CloudSpec] = None,
         buffer_capacity_bytes: int = 4_000_000_000,
         keep_traces: bool = True,
-        on_overflow: str = "drop",
     ):
-        if on_overflow not in ("drop", "raise"):
-            raise ConfigurationError("on_overflow must be 'drop' or 'raise'")
         self.workload = workload
         self.source = source
         self.cluster = cluster
         self.cloud = cloud or CloudSpec()
         self.buffer_capacity_bytes = int(buffer_capacity_bytes)
         self.keep_traces = keep_traces
-        self.on_overflow = on_overflow
 
     def run(self, policy: Policy, start_time: float, end_time: float) -> IngestionResult:
         """Ingest the stream from ``start_time`` to ``end_time`` with ``policy``."""
@@ -228,7 +225,6 @@ class IngestionEngine:
             source=self.source,
             policy=policy,
             buffer_capacity_bytes=self.buffer_capacity_bytes,
-            on_overflow=self.on_overflow,
         )
         fleet_result = fleet.run([stream], start_time, end_time)
         (result,) = fleet_result.stream_results.values()

@@ -34,7 +34,6 @@ from repro.core.engine import (
     SegmentTrace,
 )
 from repro.core.interfaces import VETLWorkload
-from repro.errors import ConfigurationError
 from repro.video.stream import SyntheticVideoSource
 
 #: Event kinds.  Lower values are processed first at equal timestamps: a
@@ -114,8 +113,6 @@ class StreamSession:
             policies are stateful and must not be shared between sessions).
         buffer_capacity_bytes: size of the stream's video buffer.
         stream_id: identifier used in results; defaults to the source's.
-        on_overflow: ``"drop"`` records the overflow and drops the segment,
-            ``"raise"`` raises :class:`BufferOverflowError` immediately.
         keep_traces: whether to record per-segment traces.
     """
 
@@ -126,17 +123,13 @@ class StreamSession:
         policy: Policy,
         buffer_capacity_bytes: int,
         stream_id: Optional[str] = None,
-        on_overflow: str = "drop",
         keep_traces: bool = True,
     ):
-        if on_overflow not in ("drop", "raise"):
-            raise ConfigurationError("on_overflow must be 'drop' or 'raise'")
         self.workload = workload
         self.source = source
         self.policy = policy
         self.buffer_capacity_bytes = int(buffer_capacity_bytes)
         self.stream_id = stream_id or source.stream_id
-        self.on_overflow = on_overflow
         self.keep_traces = keep_traces
 
         self.index = 0  # position within the fleet, assigned by the engine
@@ -221,14 +214,6 @@ class StreamSession:
         if occupancy > self.buffer_capacity_bytes:
             result.overflowed = True
             result.overflow_count += 1
-            if self.on_overflow == "raise":
-                from repro.errors import BufferOverflowError
-
-                raise BufferOverflowError(
-                    requested_bytes=encoded_bytes,
-                    free_bytes=self.buffer_capacity_bytes - backlog_before,
-                    capacity_bytes=self.buffer_capacity_bytes,
-                )
             result.segments_dropped += 1
             if self.keep_traces:
                 result.traces.append(

@@ -315,7 +315,6 @@ class FleetStream:
             policies are stateful and must not be shared).
         stream_id: identifier used in results; defaults to the source's.
         buffer_capacity_bytes: the stream's video-buffer size.
-        on_overflow: ``"drop"`` or ``"raise"`` (see the engine docs).
         ledger: optional per-stream budget ledger overriding the engine's
             shared one — how a fleet plan's per-tenant sub-budgets deploy
             (see :class:`repro.planning.allocation.TenantSubLedger`, whose
@@ -328,7 +327,6 @@ class FleetStream:
     policy: Policy
     stream_id: Optional[str] = None
     buffer_capacity_bytes: int = 4_000_000_000
-    on_overflow: str = "drop"
     ledger: Optional[BudgetLedger] = None
 
 
@@ -486,7 +484,6 @@ class FleetEngine:
                 policy=stream.policy,
                 buffer_capacity_bytes=stream.buffer_capacity_bytes,
                 stream_id=stream.stream_id,
-                on_overflow=stream.on_overflow,
                 keep_traces=self.keep_traces,
             )
             if session.stream_id in seen_ids:

@@ -317,18 +317,14 @@ class _ReferenceSession:
         policy,
         buffer_capacity_bytes: int,
         stream_id: Optional[str] = None,
-        on_overflow: str = "drop",
         keep_traces: bool = True,
         segments_fn: Optional[Callable[..., Iterator[VideoSegment]]] = None,
     ):
-        if on_overflow not in ("drop", "raise"):
-            raise ConfigurationError("on_overflow must be 'drop' or 'raise'")
         self.workload = workload
         self.source = source
         self.policy = policy
         self.buffer_capacity_bytes = int(buffer_capacity_bytes)
         self.stream_id = stream_id or source.stream_id
-        self.on_overflow = on_overflow
         self.keep_traces = keep_traces
         self._segments_fn = segments_fn
 
@@ -389,14 +385,6 @@ class _ReferenceSession:
         if occupancy > self.buffer_capacity_bytes:
             result.overflowed = True
             result.overflow_count += 1
-            if self.on_overflow == "raise":
-                from repro.errors import BufferOverflowError
-
-                raise BufferOverflowError(
-                    requested_bytes=segment.encoded_bytes,
-                    free_bytes=self.buffer_capacity_bytes - backlog_before,
-                    capacity_bytes=self.buffer_capacity_bytes,
-                )
             result.segments_dropped += 1
             if self.keep_traces:
                 result.traces.append(
@@ -789,7 +777,6 @@ def reference_fleet_run(
             policy=stream.policy,
             buffer_capacity_bytes=stream.buffer_capacity_bytes,
             stream_id=stream.stream_id,
-            on_overflow=stream.on_overflow,
             keep_traces=keep_traces,
             segments_fn=segments_fn,
         )

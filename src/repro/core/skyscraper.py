@@ -390,14 +390,8 @@ class Skyscraper:
         start_time: float,
         duration: float,
         keep_traces: bool = True,
-        on_overflow: str = "drop",
     ) -> IngestionResult:
-        """Ingest ``duration`` seconds of live video starting at ``start_time``.
-
-        ``on_overflow`` is forwarded to the engine: ``"drop"`` records buffer
-        overflows and keeps going, ``"raise"`` raises
-        :class:`~repro.errors.BufferOverflowError` on the first one.
-        """
+        """Ingest ``duration`` seconds of live video starting at ``start_time``."""
         if self.profiles is None:
             raise NotFittedError("Skyscraper.fit must run before ingesting")
         policy = self.build_policy(source.segment_seconds)
@@ -408,6 +402,5 @@ class Skyscraper:
             cloud=self.cloud,
             buffer_capacity_bytes=self.resources.buffer_bytes,
             keep_traces=keep_traces,
-            on_overflow=on_overflow,
         )
         return engine.run(policy, start_time, start_time + duration)

@@ -20,25 +20,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class BufferOverflowError(ReproError):
-    """Raised when the bounded video buffer would exceed its byte capacity.
-
-    The V-ETL contract (Equation 1 of the paper) forbids unbounded lag; a
-    buffer overflow therefore is a hard failure of the ingestion run.  The
-    Chameleon* baseline crashes with this error on under-provisioned hardware,
-    which is exactly the behaviour reported in Section 5.3.
-    """
-
-    def __init__(self, requested_bytes: int, free_bytes: int, capacity_bytes: int):
-        self.requested_bytes = requested_bytes
-        self.free_bytes = free_bytes
-        self.capacity_bytes = capacity_bytes
-        super().__init__(
-            f"buffer overflow: requested {requested_bytes} B but only "
-            f"{free_bytes} B of {capacity_bytes} B are free"
-        )
-
-
 class AdmissionError(ConfigurationError):
     """Raised when a submission is refused at admission.
 

@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     BudgetExceededError,
-    BufferOverflowError,
     ConfigurationError,
     NotFittedError,
     PlacementError,
@@ -63,7 +62,7 @@ VALID_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Error codes that re-enter the queue (until retries are exhausted).
-RETRYABLE_CODES = ("worker_crash", "injected", "overflow", "runtime", "resource")
+RETRYABLE_CODES = ("worker_crash", "injected", "runtime", "resource")
 
 #: Error codes that go straight to the dead-letter queue.
 NON_RETRYABLE_CODES = ("config", "not_fitted", "planning", "slo_infeasible")
@@ -90,8 +89,6 @@ def classify_error(error: BaseException) -> str:
         return own_code
     if isinstance(error, InjectedFaultError):
         return "injected"
-    if isinstance(error, BufferOverflowError):
-        return "overflow"
     if isinstance(error, NotFittedError):
         return "not_fitted"
     if isinstance(error, (PlanningError, PlacementError, BudgetExceededError)):
@@ -169,6 +166,8 @@ class IngestionJob:
         job_id: Optional[str] = None,
     ) -> "IngestionJob":
         """A fresh ``queued`` job with a generated id and submit timestamp."""
+        if max_retries < 0:
+            raise ConfigurationError("max_retries must be non-negative")
         job = cls(
             job_id=job_id or uuid.uuid4().hex,
             stream_id=stream_id,

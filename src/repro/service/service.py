@@ -86,6 +86,10 @@ class RetryPolicy:
     max_delay_seconds: float = 2.0
     jitter_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigurationError("max_retries must be non-negative")
+
     def backoff_seconds(self, retry_count: int, key: str = "") -> float:
         """Delay before retry number ``retry_count`` of job ``key``."""
         if retry_count < 1:
@@ -441,11 +445,19 @@ class FleetIngestionService:
 
         Args:
             crash_shard: fault injection — SIGKILL this shard's worker
-                right after its ``crash_on_batch``-th batch is dispatched,
-                exercising the crash-recovery path deterministically.
+                (``0 <= crash_shard < n_shards``) right after its
+                ``crash_on_batch``-th batch is dispatched, exercising the
+                crash-recovery path deterministically.
             crash_on_batch: which dispatch to kill on (1-based).
             timeout_seconds: hard wall-clock bound on the drain.
         """
+        if crash_shard is not None and not 0 <= crash_shard < self.config.n_shards:
+            raise ConfigurationError(
+                f"crash_shard {crash_shard} is not a shard; shards are "
+                f"0..{self.config.n_shards - 1}"
+            )
+        if crash_on_batch < 1:
+            raise ConfigurationError("crash_on_batch is 1-based")
         pending = [job for job in self.store.list() if not job.terminal]
         # Wall-clock ``started`` stamps job history; the drain itself is timed
         # with the monotonic clock.

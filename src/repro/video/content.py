@@ -280,28 +280,12 @@ class RegimeSchedule:
             self, "burst_scales", tuple(float(v) for v in self.burst_scales)
         )
 
-    @property
-    def n_regimes(self) -> int:
-        return len(self.boundaries_seconds) + 1
-
     def regime_at(self, timestamps: np.ndarray) -> np.ndarray:
         """Regime index per timestamp (elementwise, batch-invariant)."""
         ts = np.asarray(timestamps, dtype=float)
         return np.searchsorted(
             np.asarray(self.boundaries_seconds, dtype=float), ts, side="right"
         )
-
-    def activity_shift_at(self, timestamps: np.ndarray) -> np.ndarray:
-        """Additive activity offset per timestamp."""
-        return np.asarray(self.activity_shifts, dtype=float)[self.regime_at(timestamps)]
-
-    def burst_scale_at(self, timestamps: np.ndarray) -> np.ndarray:
-        """Burst-intensity scale per timestamp."""
-        return np.asarray(self.burst_scales, dtype=float)[self.regime_at(timestamps)]
-
-    def as_payload(self) -> Tuple[Tuple[float, ...], ...]:
-        """Canonical tuple form used in content fingerprints (cache keys)."""
-        return (self.boundaries_seconds, self.activity_shifts, self.burst_scales)
 
 
 class ContentModel:
@@ -324,7 +308,7 @@ class ContentModel:
             forecaster tests to model slowly changing traffic levels.
         regimes: optional piecewise-constant regime schedule; each regime
             shifts the activity baseline and scales the burst process (the
-            non-stationary workloads the drift monitor is tested against).
+            ``ev-regime`` stream of the ``regime_shift`` figure).
     """
 
     def __init__(

@@ -7,7 +7,6 @@ from repro.baselines.static import StaticPolicy, best_static_configuration
 from repro.baselines.videostorm import VideoStormPolicy
 from repro.cluster.resources import CloudSpec, ClusterSpec
 from repro.core.engine import IngestionEngine
-from repro.errors import BufferOverflowError
 
 
 ONLINE_START = 0.25 * 86_400.0  # 6 AM, after the history used by the fixture
@@ -87,22 +86,20 @@ def test_engine_records_traces_and_buffer_history(fitted_skyscraper, covid_workl
     assert result.peak_buffer_bytes > covid_source.segment_at(0).encoded_bytes
 
 
-def test_engine_overflow_drop_and_raise_modes(fitted_skyscraper, covid_workload, covid_source):
-    """An over-committed static policy on a tiny buffer must overflow."""
+def test_engine_overflow_drops_and_records(fitted_skyscraper, covid_workload, covid_source):
+    """An over-committed static policy on a tiny buffer overflows: each
+    overflowing segment is dropped and recorded, and the run goes on."""
     profiles = fitted_skyscraper.profiles
     expensive = profiles.most_expensive()
     tiny_buffer = 3 * covid_source.segment_at(0).encoded_bytes
-    drop_engine = _engine(covid_workload, covid_source, cores=4, buffer_bytes=tiny_buffer)
-    result = drop_engine.run(StaticPolicy(profiles, expensive), ONLINE_START, ONLINE_START + 1200.0)
+    engine = _engine(covid_workload, covid_source, cores=4, buffer_bytes=tiny_buffer)
+    result = engine.run(StaticPolicy(profiles, expensive), ONLINE_START, ONLINE_START + 1200.0)
     assert result.overflowed
-    assert result.segments_dropped > 0
-    assert any(trace.dropped for trace in result.traces)
-
-    raise_engine = _engine(
-        covid_workload, covid_source, cores=4, buffer_bytes=tiny_buffer, on_overflow="raise"
-    )
-    with pytest.raises(BufferOverflowError):
-        raise_engine.run(StaticPolicy(profiles, expensive), ONLINE_START, ONLINE_START + 1200.0)
+    assert result.overflow_count == result.segments_dropped > 0
+    assert result.segments_total > result.segments_dropped
+    dropped = [trace for trace in result.traces if trace.dropped]
+    assert len(dropped) == result.segments_dropped
+    assert all(trace.configuration_label == "<dropped>" for trace in dropped)
 
 
 def test_skyscraper_policy_never_overflows_small_buffer(

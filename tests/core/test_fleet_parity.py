@@ -11,8 +11,6 @@ dataclass equality over every field including the full per-segment traces.
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-import pytest
-
 from repro.baselines.static import StaticPolicy, best_static_configuration
 from repro.baselines.videostorm import VideoStormPolicy
 from repro.cluster.resources import CloudSpec, ClusterSpec
@@ -40,7 +38,6 @@ def reference_run(
     start_time: float,
     end_time: float,
     keep_traces: bool = True,
-    on_overflow: str = "drop",
 ) -> IngestionResult:
     """The pre-refactor sequential engine loop, kept as a parity oracle."""
     result = IngestionResult(
@@ -78,14 +75,6 @@ def reference_run(
         if occupancy > buffer_capacity_bytes:
             result.overflowed = True
             result.overflow_count += 1
-            if on_overflow == "raise":
-                from repro.errors import BufferOverflowError
-
-                raise BufferOverflowError(
-                    requested_bytes=segment.encoded_bytes,
-                    free_bytes=buffer_capacity_bytes - backlog_before,
-                    capacity_bytes=buffer_capacity_bytes,
-                )
             result.segments_dropped += 1
             if keep_traces:
                 result.traces.append(
@@ -294,36 +283,3 @@ def test_parity_videostorm(fitted_skyscraper, covid_workload, covid_source):
     )
     assert_bit_for_bit(actual, expected)
 
-
-def test_parity_overflow_raise_mode(fitted_skyscraper, covid_workload, covid_source):
-    """Both implementations raise on the same segment in "raise" mode."""
-    from repro.errors import BufferOverflowError
-
-    profiles = fitted_skyscraper.profiles
-    expensive = profiles.most_expensive()
-    tiny_buffer = 3 * covid_source.segment_at(0).encoded_bytes
-    cluster = ClusterSpec(cores=4)
-    cloud = CloudSpec(daily_budget_dollars=1.0)
-    engine = IngestionEngine(
-        workload=covid_workload,
-        source=covid_source,
-        cluster=cluster,
-        cloud=cloud,
-        buffer_capacity_bytes=tiny_buffer,
-        on_overflow="raise",
-    )
-    with pytest.raises(BufferOverflowError) as actual_error:
-        engine.run(StaticPolicy(profiles, expensive), ONLINE_START, ONLINE_END)
-    with pytest.raises(BufferOverflowError) as expected_error:
-        reference_run(
-            covid_workload,
-            covid_source,
-            cluster,
-            cloud,
-            tiny_buffer,
-            StaticPolicy(profiles, expensive),
-            ONLINE_START,
-            ONLINE_END,
-            on_overflow="raise",
-        )
-    assert str(actual_error.value) == str(expected_error.value)

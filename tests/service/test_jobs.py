@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import (
     BudgetExceededError,
-    BufferOverflowError,
     ConfigurationError,
     NotFittedError,
     PlanningError,
@@ -96,14 +95,15 @@ def test_job_round_trips_through_dict():
 @pytest.mark.parametrize(
     "error,code,retryable",
     [
-        (InjectedFaultError("boom"), "injected", True),
-        (BufferOverflowError(100, 10, 50), "overflow", True),
-        (MemoryError("oom"), "resource", True),
-        (RuntimeError("???"), "runtime", True),
-        (NotFittedError("fit first"), "not_fitted", False),
-        (PlanningError("no plan"), "planning", False),
-        (BudgetExceededError("over"), "planning", False),
-        (ConfigurationError("bad knob"), "config", False),
+        pytest.param(InjectedFaultError("boom"), "injected", True, id="error0-injected-True"),
+        pytest.param(MemoryError("oom"), "resource", True, id="error2-resource-True"),
+        pytest.param(RuntimeError("???"), "runtime", True, id="error3-runtime-True"),
+        pytest.param(
+            NotFittedError("fit first"), "not_fitted", False, id="error4-not_fitted-False"
+        ),
+        pytest.param(PlanningError("no plan"), "planning", False, id="error5-planning-False"),
+        pytest.param(BudgetExceededError("over"), "planning", False, id="error6-planning-False"),
+        pytest.param(ConfigurationError("bad knob"), "config", False, id="error7-config-False"),
     ],
 )
 def test_error_taxonomy(error, code, retryable):

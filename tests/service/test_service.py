@@ -7,7 +7,9 @@ requeueing, and SIGKILL crash recovery with budget conservation.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from unittest.mock import ANY
 
 import pytest
 
@@ -140,6 +142,36 @@ def test_submission_validation(service_bundle):
     service2.dispatcher.submit(stream_id="cam-00")
     with pytest.raises(ConfigurationError, match="scenario"):
         service2.run()  # jobs exist but no scenario was attached
+
+
+@pytest.mark.parametrize(
+    "attempt,message",
+    [
+        pytest.param(lambda s: s.run(crash_shard=2), "not a shard", id="crash_shard_past_last"),
+        pytest.param(lambda s: s.run(crash_shard=-1), "not a shard", id="negative_crash_shard"),
+        pytest.param(
+            lambda s: s.run(crash_shard=1, crash_on_batch=0), "1-based", id="crash_on_batch_0"
+        ),
+        pytest.param(
+            lambda s: RetryPolicy(max_retries=-1), "max_retries", id="negative_policy_retries"
+        ),
+        pytest.param(
+            lambda s: s.submit_fleet(n_streams=2, max_retries=-1),
+            "max_retries",
+            id="negative_job_retries",
+        ),
+    ],
+)
+def test_inputs_that_cannot_take_effect_are_rejected(service_bundle, attempt, message):
+    """A crash that could never be injected, or a negative retry bound, is a
+    configuration error raised before any worker starts or job changes."""
+    service = make_service(service_bundle, n_shards=2)
+    service.submit_fleet(n_streams=2)
+    children = multiprocessing.active_children()
+    with pytest.raises(ConfigurationError, match=message):
+        attempt(service)
+    assert multiprocessing.active_children() == children
+    assert [job.history for job in service.store.list()] == [[[ANY, QUEUED, "submitted"]]] * 2
 
 
 # --------------------------------------------------------------------- #
